@@ -2,14 +2,16 @@
 
 One machine-readable JSON report goes to stdout, a short human summary to
 stderr. Exit codes: 0 success, 1 channel-validation failure, 2 parse or
-argument error, 3 tolerance or convergence failure. Reports embed the schema
-version and the tolerance set and are byte-identical for identical inputs.
+argument error, 3 tolerance, convergence or numerical failure. Reports embed
+the schema version and tolerances and are byte-identical for identical inputs.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+
+from numpy.linalg import LinAlgError
 
 from .capacity import (
     coherent_information,
@@ -30,7 +32,7 @@ from .errors import (
     ToleranceFailure,
     ValidationError,
 )
-from .fixed_points import BlockMixture, classify_fixed_state, commutant_basis
+from .fixed_points import BlockMixture, classify_fixed_state
 from .linalg import Tolerances
 from .measurement import (
     StructuralDecomposition,
@@ -126,18 +128,21 @@ def _read(path: str) -> str:
         raise ParseError(f"cannot read {path}: {exc}", "$")
 
 
-def _load_channel(path: str, tol: Tolerances) -> tuple[KrausChannel, dict]:
-    _, ops = parse_channel_ops(_read(path))
-    report = validate_kraus(ops, tol)
-    vdoc = {
+def _validation_doc(report) -> dict:
+    return {
         "is_trace_preserving": report.is_trace_preserving,
         "is_unital": report.is_unital,
         "tp_residual": report.tp_residual,
         "unital_residual": report.unital_residual,
     }
+
+
+def _load_channel(path: str, tol: Tolerances) -> tuple[KrausChannel, dict]:
+    _, ops = parse_channel_ops(_read(path))
+    report = validate_kraus(ops, tol)
     if not (report.is_trace_preserving and report.is_unital):
         raise ValidationError("channel is not unital trace-preserving", report=report)
-    return KrausChannel.from_kraus(ops, tol), vdoc
+    return KrausChannel.from_kraus(ops, tol), _validation_doc(report)
 
 
 def _subspace_doc(s) -> dict:
@@ -171,12 +176,7 @@ def _cmd_validate(args, tol):
     out = _report_head("validate", tol)
     out["dim"] = ops[0].shape[0]
     out["n_kraus"] = len(ops)
-    out["validation"] = {
-        "is_trace_preserving": report.is_trace_preserving,
-        "is_unital": report.is_unital,
-        "tp_residual": report.tp_residual,
-        "unital_residual": report.unital_residual,
-    }
+    out["validation"] = _validation_doc(report)
     ok = report.is_trace_preserving and report.is_unital
     human = [
         f"dim={ops[0].shape[0]} kraus={len(ops)} "
@@ -188,13 +188,12 @@ def _cmd_validate(args, tol):
 def _cmd_decompose(args, tol):
     ch, vdoc = _load_channel(args.channel, tol)
     dec = iris_decompose(ch, tol, seed=args.seed)
-    cb = commutant_basis(ch, tol)
     out = _report_head("decompose", tol)
     out["seed"] = args.seed
     out["validation"] = vdoc
-    out["commutant_count"] = cb.count
+    out["commutant_count"] = dec.commutant.count
     out["decomposition"] = _decomposition_doc(dec)
-    human = [f"blocks: {list(dec.block_dims)} (commutant count {cb.count})"]
+    human = [f"blocks: {list(dec.block_dims)} (commutant count {dec.commutant.count})"]
     return out, human, 0
 
 
@@ -246,16 +245,15 @@ def _cmd_match(args, tol):
 def _cmd_fixed_states(args, tol):
     ch, vdoc = _load_channel(args.channel, tol)
     dec = iris_decompose(ch, tol, seed=args.seed)
-    cb = commutant_basis(ch, tol)
     out = _report_head("fixed-states", tol)
     out["seed"] = args.seed
     out["validation"] = vdoc
-    out["commutant_count"] = cb.count
+    out["commutant_count"] = dec.commutant.count
     out["decomposition"] = _decomposition_doc(dec)
     out["building_blocks"] = [
         {"dim": s.dim, "uniform_weight": s.dim / ch.dim} for s in dec.blocks
     ]
-    human = [f"{cb.count} fixed-point dimension(s), blocks {list(dec.block_dims)}"]
+    human = [f"{dec.commutant.count} fixed-point dimension(s), blocks {list(dec.block_dims)}"]
     if args.state:
         rho = parse_operator(_read(args.state))
         try:
@@ -449,12 +447,7 @@ def run_command(argv) -> int:
     except ValidationError as exc:
         extra = {}
         if exc.report is not None:
-            extra["validation"] = {
-                "is_trace_preserving": exc.report.is_trace_preserving,
-                "is_unital": exc.report.is_unital,
-                "tp_residual": exc.report.tp_residual,
-                "unital_residual": exc.report.unital_residual,
-            }
+            extra["validation"] = _validation_doc(exc.report)
         print(dumps_report(_error_report(command, exc, extra)))
         print(f"validation failure: {exc}", file=sys.stderr)
         return 1
@@ -466,7 +459,7 @@ def run_command(argv) -> int:
         print(dumps_report(_error_report(command, exc)))
         print(f"tolerance failure: {exc}", file=sys.stderr)
         return 3
-    except KrausBlocksError as exc:
+    except (KrausBlocksError, MemoryError, LinAlgError) as exc:
         print(dumps_report(_error_report(command, exc)))
         print(f"error: {exc}", file=sys.stderr)
         return 3

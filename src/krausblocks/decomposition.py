@@ -3,9 +3,9 @@ restriction, and matching of two decompositions.
 
 A subspace is invariant exactly when the channel fixes its projector;
 equivalently all Kraus operators are block-diagonal with respect to it. The
-decomposition routine splits the space along eigenspaces of a random fixed
-operator and recurses until every block's restricted channel has a trivial
-commutant, which certifies irreducibility.
+decomposition routine solves the commutant once, splits the space along
+eigenspaces of a random fixed operator and recurses with the commutant
+compressed onto each; a trivial compression certifies irreducibility.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .errors import (
     NotOrthonormal,
     ToleranceFailure,
 )
-from .fixed_points import commutant_basis
+from .fixed_points import CommutantBasis, commutant_basis
 from .linalg import (
     DEFAULT_TOL,
     Tolerances,
@@ -79,11 +79,13 @@ class Subspace:
 @dataclass(frozen=True, eq=False)
 class IrisDecomposition:
     """Ordered orthogonal blocks covering the ambient space, each certified
-    irreducible (restricted commutant of size one)."""
+    irreducible (restricted commutant of size one), with the channel's
+    commutant they were split from when known."""
 
     ambient_dim: int
     blocks: tuple[Subspace, ...]
     irreducibility_certificates: tuple[int, ...]
+    commutant: CommutantBasis | None = None
 
     def __post_init__(self):
         if len(self.blocks) != len(self.irreducibility_certificates):
@@ -183,22 +185,20 @@ def _block_sort_key(s: Subspace):
 
 
 def _split(
-    ch: KrausChannel,
+    basis: CommutantBasis,
     lift: np.ndarray,
     rng: np.random.Generator,
     tol: Tolerances,
     out: list[np.ndarray],
 ) -> None:
-    """Recursively split ``ch`` (already restricted; ``lift`` maps back to the
-    ambient space) into irreducible blocks, appending ambient bases to ``out``."""
-    basis = commutant_basis(ch, tol)
+    """Recursively split the block with ambient basis ``lift`` and restricted
+    commutant ``basis`` into irreducible blocks, appending to ``out`` the
+    ambient basis of each block whose commutant count (its certificate) is 1."""
     if basis.count == 1:
         out.append(lift)
         return
 
-    d = ch.dim
-    clusters = None
-    vecs = None
+    d = basis.dim
     # a random real combination of the non-identity basis elements is
     # non-scalar (scalars are orthogonal to them), so it has >= 2 eigenvalue
     # clusters; retry guards against freak near-degenerate draws
@@ -213,24 +213,16 @@ def _split(
         w, v = hermitian_eig(sigma / nrm, tol)
         groups = cluster_eigenvalues(w, tol.eigencluster)
         if len(groups) >= 2:
-            clusters, vecs = groups, v
             break
-    if clusters is None:
+    else:
         raise ToleranceFailure(
             "could not split a reducible block: random fixed operators kept a "
             "single eigenvalue cluster at the configured eigencluster width"
         )
 
-    for idx in clusters:
-        sub = Subspace(d, vecs[:, idx])
-        try:
-            ch_sub = restrict(ch, sub, tol)
-        except NotInvariant as exc:
-            raise ToleranceFailure(
-                f"eigenspace of a fixed operator failed the invariance check "
-                f"(residual={exc.residual:.3e}); input is too ill-conditioned"
-            ) from exc
-        _split(ch_sub, lift @ sub.basis, rng, tol, out)
+    for idx in groups:
+        sub = v[:, idx]
+        _split(basis.compress(sub), lift @ sub, rng, tol, out)
 
 
 def iris_decompose(
@@ -238,22 +230,24 @@ def iris_decompose(
 ) -> IrisDecomposition:
     """Decompose the space into irreducible invariant blocks of the channel.
 
-    Every Kraus operator is simultaneously block-diagonal with respect to the
-    returned blocks, each block's restricted channel has a trivial commutant,
-    and the sorted dimension list is independent of ``seed`` and of the Kraus
-    representation. Deterministic for a fixed seed.
+    The commutant is solved once and compressed onto each eigenspace split
+    off. Every Kraus operator is simultaneously block-diagonal with respect to
+    the returned blocks (checked in the ambient space), each block's
+    compressed commutant is trivial, and the sorted dimension list is
+    independent of ``seed`` and of the Kraus representation. Deterministic
+    for a fixed seed.
 
     Blocks are ordered by dimension ascending, ties broken by the rounded
     leading basis vector.
     """
     rng = np.random.default_rng(seed)
+    commutant = commutant_basis(ch, tol)
     bases: list[np.ndarray] = []
-    _split(ch, np.eye(ch.dim, dtype=complex), rng, tol, bases)
+    _split(commutant, np.eye(ch.dim, dtype=complex), rng, tol, bases)
 
     blocks = sorted(
         (Subspace(ch.dim, _canonical_basis(b)) for b in bases), key=_block_sort_key
     )
-    certificates = []
     for s in blocks:
         if offdiagonal_residual(ch, s) > tol.residual:
             raise ToleranceFailure(
@@ -264,13 +258,11 @@ def iris_decompose(
             raise ToleranceFailure(
                 f"a recovered block failed the invariance check (residual={report.residual:.3e})"
             )
-        certificates.append(commutant_basis(restrict(ch, s, tol), tol).count)
-        if certificates[-1] != 1:
-            raise ToleranceFailure("a recovered block failed the irreducibility certificate")
     return IrisDecomposition(
         ambient_dim=ch.dim,
         blocks=tuple(blocks),
-        irreducibility_certificates=tuple(certificates),
+        irreducibility_certificates=(1,) * len(blocks),
+        commutant=commutant,
     )
 
 

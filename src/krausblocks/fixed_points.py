@@ -45,6 +45,15 @@ class CommutantBasis:
     def count(self) -> int:
         return len(self.hermitian_basis)
 
+    def compress(self, basis) -> "CommutantBasis":
+        """Commutant of the channel restricted to the span of the orthonormal
+        columns B of ``basis``: the compression ``B^dagger A' B``, valid when
+        the span's projector lies in this algebra (e.g. any eigenspace of an
+        element)."""
+        b = as_matrix(basis)
+        compressed = b.conj().T @ np.stack(self.hermitian_basis) @ b
+        return CommutantBasis(b.shape[1], _orthonormalize(b.shape[1], compressed))
+
     def project(self, sigma) -> np.ndarray:
         """Orthogonal projection of a Hermitian operator onto the fixed set."""
         s = as_matrix(sigma)
@@ -74,16 +83,27 @@ def commutant_basis(ch: KrausChannel, tol: Tolerances = DEFAULT_TOL) -> Commutan
     kernel = null_space(_commutation_stack(ch), tol)
     n_complex = kernel.shape[1]
 
-    candidates = [np.eye(d, dtype=complex) / np.sqrt(d)]
+    candidates = []
     for k in range(n_complex):
         b = unvec(kernel[:, k], d)
         candidates.append((b + b.conj().T) / 2.0)
         candidates.append((b - b.conj().T) / 2.0j)
+    basis = _orthonormalize(d, candidates)
 
-    # modified Gram-Schmidt over the reals; Hermitian matrices form a real
-    # vector space and real combinations stay Hermitian
+    if len(basis) != n_complex:
+        raise ToleranceFailure(
+            f"Hermitian commutant dimension {len(basis)} disagrees with the "
+            f"complex solution count {n_complex}; tolerances are inconsistent"
+        )
+    return CommutantBasis(dim=d, hermitian_basis=basis)
+
+
+def _orthonormalize(dim: int, candidates) -> tuple[np.ndarray, ...]:
+    """Trace-orthonormal basis of the span of Hermitian ``candidates``, with
+    the normalized identity pinned first. Modified Gram-Schmidt over the
+    reals: Hermitian matrices form a real vector space."""
     basis: list[np.ndarray] = []
-    for c in candidates:
+    for c in [np.eye(dim, dtype=complex) / np.sqrt(dim), *candidates]:
         r = c.copy()
         for _ in range(2):  # reorthogonalize once for 1e-12-level orthogonality
             for h in basis:
@@ -91,13 +111,7 @@ def commutant_basis(ch: KrausChannel, tol: Tolerances = DEFAULT_TOL) -> Commutan
         norm = float(np.sqrt(np.real(np.sum(r.conj() * r))))
         if norm > 1e-7:
             basis.append(r / norm)
-
-    if len(basis) != n_complex:
-        raise ToleranceFailure(
-            f"Hermitian commutant dimension {len(basis)} disagrees with the "
-            f"complex solution count {n_complex}; tolerances are inconsistent"
-        )
-    return CommutantBasis(dim=d, hermitian_basis=tuple(frozen(h) for h in basis))
+    return tuple(frozen(h) for h in basis)
 
 
 @dataclass(frozen=True)
@@ -187,7 +201,8 @@ def classify_fixed_state(
     The block projectors are orthogonal, so the least-squares weights are
     ``c_j = tr(P_j rho)``. Weights must be nonnegative (within 1e-10, then
     clamped); a fit residual above ``tol.residual`` yields a
-    :class:`DegenerateFixedState` instead of an error.
+    :class:`DegenerateFixedState` instead of an error, projected with the
+    commutant the decomposition was split from when it records one.
     """
     r = as_matrix(rho)
     if r.shape != (ch.dim, ch.dim):
@@ -218,7 +233,7 @@ def classify_fixed_state(
     if residual <= tol.residual and all(c >= -1e-10 for c in weights):
         clamped = tuple(max(c, 0.0) for c in weights)
         return BlockMixture(weights=clamped, residual=residual)
-    basis = commutant_basis(ch, tol)
+    basis = decomposition.commutant or commutant_basis(ch, tol)
     return DegenerateFixedState(
         commutant_projection=frozen(basis.project(r)), residual=residual
     )

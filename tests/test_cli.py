@@ -18,7 +18,13 @@ from krausblocks.serialize import (
 )
 from krausblocks import depolarizing_channel, dephasing_channel
 
-from tests.util import computational_measurement, rotated_direct_sum
+from tests.util import (
+    computational_measurement,
+    count_commutant_solves,
+    coupled_blocks,
+    random_density,
+    rotated_direct_sum,
+)
 
 
 def run(args):
@@ -146,6 +152,72 @@ class TestDecompose:
         code2, out2, _ = run(["decompose", depolarizing_doc, "--seed", "3"])
         assert code1 == code2 == 0
         assert out1 == out2
+
+    def test_tolerance_failure_exit_3(self, tmp_path):
+        path = write(tmp_path, "ch.json", dumps_report(channel_to_document(coupled_blocks(3e-9))))
+        code, out, _ = run(["decompose", path])
+        assert code == 3
+        assert json.loads(out)["error"]["type"] == "ToleranceFailure"
+
+
+class TestOneCommutantSolve:
+    @pytest.mark.parametrize("dims", [(1, 2, 3), (6,)])
+    @pytest.mark.parametrize(
+        "verb",
+        [
+            ["decompose"],
+            ["fixed-states"],
+            ["restrict", "--block", "0"],
+            ["capacity", "--quantity", "smin", "--restarts", "1"],
+        ],
+        ids=lambda v: v[0],
+    )
+    def test_once_per_invocation(self, tmp_path, monkeypatch, dims, verb):
+        ch, _, _ = rotated_direct_sum(dims, seed=21)
+        path = write(tmp_path, "ch.json", dumps_report(channel_to_document(ch)))
+        calls = count_commutant_solves(monkeypatch)
+        code, out, _ = run([verb[0], path, *verb[1:]])
+        assert code == 0
+        assert len(calls) == 1
+        if verb[0] in ("decompose", "fixed-states"):
+            assert json.loads(out)["commutant_count"] == len(dims)
+
+    def test_once_per_match_seed(self, tmp_path, monkeypatch):
+        ch, _, _ = rotated_direct_sum((1, 2, 3), seed=21)
+        path = write(tmp_path, "ch.json", dumps_report(channel_to_document(ch)))
+        calls = count_commutant_solves(monkeypatch)
+        code, _, _ = run(["match", path, "--seeds", "1", "2"])
+        assert code == 0
+        assert len(calls) == 2
+
+    def test_degenerate_state_reuses_the_solve(self, tmp_path, monkeypatch):
+        from krausblocks import identity_channel
+
+        path = write(tmp_path, "id.json", dumps_report(channel_to_document(identity_channel(2))))
+        rho = random_density(2, np.random.default_rng(4))
+        spath = write(tmp_path, "rho.json", dumps_report(operator_to_document(rho)))
+        calls = count_commutant_solves(monkeypatch)
+        code, out, _ = run(["fixed-states", path, "--state", spath])
+        assert code == 0
+        assert json.loads(out)["classification"]["type"] == "degenerate"
+        assert len(calls) == 1
+
+
+class TestNumericalFailure:
+    @pytest.mark.parametrize("error", [MemoryError, np.linalg.LinAlgError])
+    def test_exit_3_with_report(self, monkeypatch, depolarizing_doc, error):
+        from krausblocks import fixed_points
+
+        def fail(*args, **kwargs):
+            raise error("stacked commutator SVD failed")
+
+        monkeypatch.setattr(fixed_points, "null_space", fail)
+        code, out, err = run(["decompose", depolarizing_doc])
+        assert code == 3
+        rep = json.loads(out)
+        assert rep["command"] == "decompose"
+        assert rep["error"] == {"type": error.__name__, "message": "stacked commutator SVD failed"}
+        assert "Traceback" not in err
 
 
 class TestRestrict:

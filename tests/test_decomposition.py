@@ -23,10 +23,17 @@ from krausblocks.errors import (
     MultisetMismatch,
     NotInvariant,
     NotOrthonormal,
+    ToleranceFailure,
 )
 from krausblocks.linalg import max_abs
 
-from tests.util import random_subspace, random_unit_vector, rotated_direct_sum
+from tests.util import (
+    count_commutant_solves,
+    coupled_blocks,
+    random_subspace,
+    random_unit_vector,
+    rotated_direct_sum,
+)
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.diag([1.0, -1.0]).astype(complex)
@@ -182,6 +189,30 @@ class TestDecompose:
     def test_identity_channel_rays(self):
         dec = iris_decompose(identity_channel(3), seed=7)
         assert dec.dimension_multiset() == (1, 1, 1)
+
+    @pytest.mark.parametrize("dims", [(1, 2, 3), (6,)])
+    def test_one_commutant_solve(self, monkeypatch, dims):
+        ch, _, _ = rotated_direct_sum(dims, seed=21)
+        calls = count_commutant_solves(monkeypatch)
+        dec = iris_decompose(ch, seed=0)
+        assert len(calls) == 1
+        assert dec.commutant.count == len(dims)
+
+    @pytest.mark.parametrize(
+        "eps, dims",
+        [(1e-7, (5,)), (3e-9, None), (1e-10, (2, 3))],
+        ids=["coupled", "ambiguous", "decoupled"],
+    )
+    def test_near_reducible_verdicts(self, eps, dims):
+        # a coupling above the null-space cutoff makes one block; one below
+        # it but above tol.residual must fail rather than return blocks that
+        # leave off-diagonal Kraus weight; one below both splits cleanly
+        ch = coupled_blocks(eps)
+        if dims is None:
+            with pytest.raises(ToleranceFailure):
+                iris_decompose(ch)
+        else:
+            assert iris_decompose(ch).dimension_multiset() == dims
 
 
 class TestRestrict:

@@ -1,0 +1,101 @@
+"""Golden corpus: block dimensions and block projectors of ``iris_decompose``.
+
+The recorded values guard refactors of the decomposition: every case must
+reproduce its block dimensions exactly and its block projectors to 1e-10.
+Degenerate cases (identity, dephasing, isomorphic copies) are included on
+purpose, since their blocks depend on the random fixed operators drawn
+during the split and so expose any change in the draws.
+
+Regenerate (only when a behaviour change is intended) with
+``PYTHONPATH=src python -m tests.test_golden``.
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from krausblocks import (
+    KrausChannel,
+    dephasing_channel,
+    depolarizing_channel,
+    haar_unitary,
+    identity_channel,
+    iris_decompose,
+    random_unital_channel,
+)
+
+from tests.util import rotated_direct_sum
+
+GOLDEN_PATH = Path(__file__).with_name("golden_decompositions.json")
+DECOMPOSE_SEED = 3
+
+
+def _isomorphic_copies(dim: int, copies: int, seed: int) -> KrausChannel:
+    """``U (A_i kron I_copies) U^dagger`` for an irreducible random block."""
+    base = random_unital_channel(dim, 3, seed=seed)
+    u = haar_unitary(dim * copies, np.random.default_rng(seed + 1))
+    eye = np.eye(copies, dtype=complex)
+    return KrausChannel.from_kraus([u @ np.kron(a, eye) @ u.conj().T for a in base.kraus])
+
+
+CASES = {
+    "irreducible_d5": lambda: rotated_direct_sum((5,), seed=101)[0],
+    "irreducible_d8": lambda: rotated_direct_sum((8,), seed=102)[0],
+    "shared_sum_2_3": lambda: rotated_direct_sum((2, 3), seed=103)[0],
+    "shared_sum_1_2_3": lambda: rotated_direct_sum((1, 2, 3), seed=104)[0],
+    "disjoint_sum_2_3": lambda: rotated_direct_sum((2, 3), seed=105, shared_environment=False)[0],
+    "disjoint_sum_1_1_2_3": lambda: rotated_direct_sum(
+        (1, 1, 2, 3), seed=106, shared_environment=False
+    )[0],
+    "identity_d3": lambda: identity_channel(3),
+    "identity_d5": lambda: identity_channel(5),
+    "dephasing_d4": lambda: dephasing_channel(4),
+    "depolarizing_d4": lambda: depolarizing_channel(4, 0.3),
+    "copies_3x2": lambda: _isomorphic_copies(3, 2, seed=107),
+}
+
+
+def _decompose(name: str):
+    return iris_decompose(CASES[name](), seed=DECOMPOSE_SEED)
+
+
+def record() -> None:
+    """Write the golden file from the current implementation."""
+    doc = {}
+    for name in CASES:
+        dec = _decompose(name)
+        doc[name] = {
+            "block_dims": list(dec.block_dims),
+            "projectors": [
+                {"re": s.projector().real.tolist(), "im": s.projector().imag.tolist()}
+                for s in dec.blocks
+            ],
+        }
+    GOLDEN_PATH.write_text(json.dumps(doc, indent=1) + "\n")
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN_PATH.read_text())
+
+
+def test_corpus_covers_every_case(golden):
+    assert sorted(golden) == sorted(CASES)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_decomposition_matches_golden(golden, name):
+    dec = _decompose(name)
+    want = golden[name]
+    assert list(dec.block_dims) == want["block_dims"]
+    for s, p in zip(dec.blocks, want["projectors"]):
+        ref = np.array(p["re"]) + 1j * np.array(p["im"])
+        assert np.max(np.abs(s.projector() - ref)) <= 1e-10
+
+
+if __name__ == "__main__":
+    record()

@@ -14,6 +14,7 @@ from krausblocks import (
     random_unital_channel,
     unvec,
 )
+from krausblocks import cli, decomposition, fixed_points
 from krausblocks.linalg import DEFAULT_TOL
 
 
@@ -92,6 +93,37 @@ def rotated_direct_sum(
         projectors.append(u @ p @ u.conj().T)
         offset += d
     return ch, u, projectors
+
+
+def coupled_blocks(eps: float, seed: int = 0) -> KrausChannel:
+    """A 2 + 3 random-unitary direct sum whose blocks are coupled by
+    multiplying every Kraus operator by ``exp(i eps H)``, with H a random
+    Hermitian matrix that has entries only between the two blocks. The result
+    stays unital and trace preserving; for eps != 0 it is generically
+    irreducible, with off-diagonal Kraus weight of order eps."""
+    ch, _, _ = rotated_direct_sum((2, 3), seed=seed, rotate=False)
+    h = random_hermitian(5, np.random.default_rng(seed))
+    h[:2, :2] = 0
+    h[2:, 2:] = 0
+    w, v = np.linalg.eigh(h)
+    g = v @ np.diag(np.exp(1j * eps * w)) @ v.conj().T
+    return KrausChannel.from_kraus([g @ a for a in ch.kraus])
+
+
+def count_commutant_solves(monkeypatch) -> list:
+    """Patch ``commutant_basis`` in every package module that imported it;
+    the returned list gains one entry per solve."""
+    calls = []
+    real = fixed_points.commutant_basis
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    for module in (fixed_points, decomposition, cli):
+        if hasattr(module, "commutant_basis"):
+            monkeypatch.setattr(module, "commutant_basis", counting)
+    return calls
 
 
 def computational_measurement(d: int) -> ProjectiveMeasurement:
