@@ -28,9 +28,8 @@ from .errors import (
     InvalidAlpha,
     InvalidParameter,
     NonConvergence,
-    NotADensityMatrix,
 )
-from .linalg import DEFAULT_TOL, Tolerances, as_matrix, max_abs
+from .linalg import DEFAULT_TOL, Tolerances, as_matrix, density_matrix
 
 _LN2 = float(np.log(2.0))
 _EIG_FLOOR = 1e-18
@@ -68,21 +67,6 @@ def _entropy_bits(eigs: np.ndarray) -> float:
     return float(-np.sum(lam * np.log2(lam)))
 
 
-def _check_density(rho) -> np.ndarray:
-    r = as_matrix(rho)
-    if r.shape[0] != r.shape[1]:
-        raise NotADensityMatrix("state must be square")
-    if max_abs(r - r.conj().T) > 1e-8:
-        raise NotADensityMatrix("state is not Hermitian within 1e-8")
-    h = (r + r.conj().T) / 2
-    w = np.linalg.eigvalsh(h)
-    if float(w[0]) < -1e-8:
-        raise NotADensityMatrix(f"minimum eigenvalue {w[0]:.3e} is below -1e-8")
-    if abs(float(np.sum(w)) - 1.0) > 1e-8:
-        raise NotADensityMatrix(f"trace is {np.sum(w):.10f}, not 1 within 1e-8")
-    return h
-
-
 def renyi_entropy(rho, alpha: float) -> float:
     """Renyi-``alpha`` entropy of a density matrix, in bits.
 
@@ -93,7 +77,7 @@ def renyi_entropy(rho, alpha: float) -> float:
     """
     if alpha < 1:
         raise InvalidAlpha(f"Renyi order must be >= 1, got {alpha}")
-    h = _check_density(rho)
+    h = density_matrix(rho)
     lam = np.clip(np.linalg.eigvalsh(h), 0.0, None)
     lam = lam / np.sum(lam)
     if alpha == 1:
@@ -103,19 +87,14 @@ def renyi_entropy(rho, alpha: float) -> float:
 
 def exchange_matrix(ch: KrausChannel, rho) -> np.ndarray:
     """The ``n_kraus x n_kraus`` matrix ``W_ij = tr(A_i rho A_j^dagger)``."""
-    r = as_matrix(rho)
-    prods = [a @ r for a in ch.kraus]
-    k = ch.n_kraus
-    w = np.empty((k, k), dtype=complex)
-    for i in range(k):
-        for j in range(k):
-            w[i, j] = np.sum(prods[i] * ch.kraus[j].conj())
+    a = ch.kraus
+    w = np.tensordot(a @ as_matrix(rho), a.conj(), axes=([1, 2], [1, 2]))
     return (w + w.conj().T) / 2
 
 
 def quantum_mutual_information(ch: KrausChannel, rho) -> float:
     """``S(rho) + S(phi(rho)) - S(W(rho))`` in bits; concave in the state."""
-    h = _check_density(rho)
+    h = density_matrix(rho)
     return (
         _entropy_bits(np.linalg.eigvalsh(h))
         + _entropy_bits(np.linalg.eigvalsh(_herm(ch.apply(h))))
@@ -125,7 +104,7 @@ def quantum_mutual_information(ch: KrausChannel, rho) -> float:
 
 def coherent_information_value(ch: KrausChannel, rho) -> float:
     """``S(phi(rho)) - S(W(rho))`` in bits for one input state."""
-    h = _check_density(rho)
+    h = density_matrix(rho)
     return _entropy_bits(np.linalg.eigvalsh(_herm(ch.apply(h)))) - _entropy_bits(
         np.linalg.eigvalsh(exchange_matrix(ch, h))
     )
@@ -167,13 +146,13 @@ def _entropy_gradient_matrix(rho: np.ndarray, alpha: float) -> np.ndarray:
 def _sphere_descent(
     ch: KrausChannel, alpha: float, x0: np.ndarray, max_iters: int = 400
 ) -> tuple[float, np.ndarray]:
+    adjoint = ch.adjoint()
     x = x0 / np.linalg.norm(x0)
     f = _output_renyi_value(ch, x, alpha)
     eta = 0.2
     stall = 0
     for _ in range(max_iters):
-        g_mat = _entropy_gradient_matrix(_output_state(ch, x), alpha)
-        m = sum(a.conj().T @ g_mat @ a for a in ch.kraus)
+        m = adjoint.apply(_entropy_gradient_matrix(_output_state(ch, x), alpha))
         grad = 2.0 * (m @ x)
         grad = grad - float(np.real(x.conj() @ grad)) * x  # project onto the tangent space
         gn = float(np.linalg.norm(grad))
@@ -252,11 +231,10 @@ def _ascent_parts(ch: KrausChannel, rho: np.ndarray, include_input_entropy: bool
     value = _entropy_bits(np.linalg.eigvalsh(out)) - _entropy_bits(
         np.linalg.eigvalsh(w_ex)
     )
-    log_w = _log2_psd(w_ex)
-    lam = np.zeros((ch.dim, ch.dim), dtype=complex)
-    for i, ai in enumerate(ch.kraus):
-        for j, aj in enumerate(ch.kraus):
-            lam += log_w[j, i] * (aj.conj().T @ ai)
+    # sum_j A_j^dagger (sum_i log W_ji A_i)
+    a = ch.kraus
+    mixed = np.tensordot(_log2_psd(w_ex), a, axes=(1, 0))
+    lam = np.tensordot(a.conj(), mixed, axes=([0, 1], [0, 1]))
     grad = -ch.adjoint().apply(_log2_psd(out)) + _herm(lam)
     if include_input_entropy:
         value += _entropy_bits(np.linalg.eigvalsh(rho))

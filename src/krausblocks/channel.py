@@ -12,13 +12,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    InvalidParameter,
-    NotUnitary,
-    ValidationError,
+from .errors import DimensionMismatch, InvalidParameter, ValidationError
+from .linalg import (
+    DEFAULT_TOL,
+    Tolerances,
+    as_matrix,
+    frozen,
+    haar_unitary,
+    max_abs,
+    operator_stack,
+    require_unitary,
 )
-from .linalg import DEFAULT_TOL, Tolerances, as_matrix, frozen, haar_unitary, max_abs
 
 
 @dataclass(frozen=True)
@@ -38,18 +42,11 @@ def validate_kraus(ops, tol: Tolerances = DEFAULT_TOL) -> ValidationReport:
     is ``max |sum A_i A_i^dagger - I|``; the flags compare them against
     ``tol.residual``.
     """
-    mats = [as_matrix(a) for a in ops]
-    if not mats:
-        raise DimensionMismatch("need at least one Kraus operator")
-    d = mats[0].shape[0]
-    for a in mats:
-        if a.shape != (d, d):
-            raise DimensionMismatch(f"Kraus operators must all be {d}x{d}, got {a.shape}")
-    eye = np.eye(d)
-    tp = sum(a.conj().T @ a for a in mats)
-    un = sum(a @ a.conj().T for a in mats)
-    tp_res = max_abs(tp - eye)
-    un_res = max_abs(un - eye)
+    a = operator_stack(ops)
+    a_dag = a.conj().transpose(0, 2, 1)
+    eye = np.eye(a.shape[1])
+    tp_res = max_abs(np.sum(a_dag @ a, axis=0) - eye)
+    un_res = max_abs(np.sum(a @ a_dag, axis=0) - eye)
     return ValidationReport(
         is_trace_preserving=tp_res <= tol.residual,
         is_unital=un_res <= tol.residual,
@@ -62,16 +59,23 @@ def validate_kraus(ops, tol: Tolerances = DEFAULT_TOL) -> ValidationReport:
 class KrausChannel:
     """A unital quantum operation given by its Kraus operators.
 
-    Construct through :meth:`from_kraus` (or the generator functions below),
-    which reject operator sets that are not unital and trace preserving.
+    ``kraus`` is stored as one read-only complex array of shape
+    ``(n_kraus, dim, dim)``, whatever sequence of matrices it was built from;
+    ``kraus[i]`` is the operator ``A_i``. Construct through :meth:`from_kraus`
+    (or the generator functions below), which reject operator sets that are
+    not unital and trace preserving.
     """
 
     dim: int
-    kraus: tuple[np.ndarray, ...] = field(repr=False)
+    kraus: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "kraus", frozen(operator_stack(self.kraus)))
 
     @classmethod
     def from_kraus(cls, ops, tol: Tolerances = DEFAULT_TOL) -> "KrausChannel":
-        report = validate_kraus(ops, tol)
+        kraus = operator_stack(ops)
+        report = validate_kraus(kraus, tol)
         if not (report.is_trace_preserving and report.is_unital):
             raise ValidationError(
                 "Kraus operators are not a unital trace-preserving channel "
@@ -79,8 +83,7 @@ class KrausChannel:
                 f"unital_residual={report.unital_residual:.3e})",
                 report=report,
             )
-        mats = tuple(frozen(as_matrix(a)) for a in ops)
-        return cls(dim=mats[0].shape[0], kraus=mats)
+        return cls(dim=kraus.shape[1], kraus=kraus)
 
     @property
     def n_kraus(self) -> int:
@@ -91,10 +94,8 @@ class KrausChannel:
         s = as_matrix(sigma)
         if s.shape != (self.dim, self.dim):
             raise DimensionMismatch(f"operator is {s.shape}, channel dim is {self.dim}")
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for a in self.kraus:
-            out += a @ s @ a.conj().T
-        return out
+        a = self.kraus
+        return np.sum(a @ s @ a.conj().transpose(0, 2, 1), axis=0)
 
     def adjoint(self) -> "KrausChannel":
         """The adjoint channel, with Kraus operators ``A_i^dagger``.
@@ -102,17 +103,16 @@ class KrausChannel:
         The adjoint of a unital trace-preserving map is again unital and
         trace preserving, so this validates cleanly.
         """
-        return KrausChannel(dim=self.dim, kraus=tuple(frozen(a.conj().T) for a in self.kraus))
+        return KrausChannel(dim=self.dim, kraus=self.kraus.conj().transpose(0, 2, 1))
 
     def superoperator_matrix(self) -> np.ndarray:
         """The ``dim^2 x dim^2`` matrix acting on column-stacked operators."""
-        d2 = self.dim * self.dim
-        out = np.zeros((d2, d2), dtype=complex)
-        for a in self.kraus:
-            out += np.kron(a.conj(), a)
-        return out
+        d = self.dim
+        # entry (p, q, r, s) is sum_i conj(A_i)[p, q] A_i[r, s]
+        out = np.tensordot(self.kraus.conj(), self.kraus, axes=(0, 0))
+        return out.transpose(0, 2, 1, 3).reshape(d * d, d * d)
 
-    def remix(self, u, pad: int | None = None, tol: Tolerances = DEFAULT_TOL) -> "KrausChannel":
+    def remix(self, u, tol: Tolerances = DEFAULT_TOL) -> "KrausChannel":
         """Re-express the channel with Kraus operators ``B_j = sum_i u_ij A_i``.
 
         ``u`` must be ``k x k`` unitary with ``k >= n_kraus``; the operator
@@ -121,20 +121,15 @@ class KrausChannel:
         """
         um = as_matrix(u)
         k = um.shape[0]
-        if pad is not None:
-            if pad != k:
-                raise DimensionMismatch(f"pad={pad} disagrees with unitary size {k}")
         if um.shape != (k, k):
             raise DimensionMismatch("remix matrix must be square")
         if k < self.n_kraus:
             raise DimensionMismatch(
                 f"remix unitary is {k}x{k} but the channel has {self.n_kraus} Kraus operators"
             )
-        dev = max_abs(um.conj().T @ um - np.eye(k))
-        if dev > tol.residual:
-            raise NotUnitary(f"max |u^dagger u - I| = {dev:.3e}")
-        padded = list(self.kraus) + [np.zeros((self.dim, self.dim))] * (k - self.n_kraus)
-        mixed = [sum(um[i, j] * padded[i] for i in range(k)) for j in range(k)]
+        require_unitary(um, tol)
+        # the zero-padded operators add nothing, so only n_kraus rows of u enter
+        mixed = np.tensordot(um[: self.n_kraus], self.kraus, axes=(0, 0))
         return KrausChannel.from_kraus(mixed, tol)
 
 
@@ -172,23 +167,15 @@ def direct_sum(
     unitary is supplied.
     """
     d = a.dim + b.dim
-    n = max(a.n_kraus, b.n_kraus)
-    ka = list(a.kraus) + [np.zeros((a.dim, a.dim))] * (n - a.n_kraus)
-    kb = list(b.kraus) + [np.zeros((b.dim, b.dim))] * (n - b.n_kraus)
-    ops = []
-    for i in range(n):
-        k = np.zeros((d, d), dtype=complex)
-        k[: a.dim, : a.dim] = ka[i]
-        k[a.dim :, a.dim :] = kb[i]
-        ops.append(k)
+    ops = np.zeros((max(a.n_kraus, b.n_kraus), d, d), dtype=complex)
+    ops[: a.n_kraus, : a.dim, : a.dim] = a.kraus
+    ops[: b.n_kraus, a.dim :, a.dim :] = b.kraus
     if conjugating_unitary is not None:
         u = as_matrix(conjugating_unitary)
         if u.shape != (d, d):
             raise DimensionMismatch(f"conjugating unitary must be {d}x{d}")
-        dev = max_abs(u.conj().T @ u - np.eye(d))
-        if dev > tol.residual:
-            raise NotUnitary(f"max |U^dagger U - I| = {dev:.3e}")
-        ops = [u @ k @ u.conj().T for k in ops]
+        require_unitary(u, tol)
+        ops = u @ ops @ u.conj().T
     return KrausChannel.from_kraus(ops, tol)
 
 
@@ -215,9 +202,7 @@ def unitary_channel(u, tol: Tolerances = DEFAULT_TOL) -> KrausChannel:
     um = as_matrix(u)
     if um.shape[0] != um.shape[1]:
         raise DimensionMismatch("unitary must be square")
-    dev = max_abs(um.conj().T @ um - np.eye(um.shape[0]))
-    if dev > tol.residual:
-        raise NotUnitary(f"max |U^dagger U - I| = {dev:.3e}")
+    require_unitary(um, tol)
     return KrausChannel.from_kraus([um], tol)
 
 

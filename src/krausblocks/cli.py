@@ -138,11 +138,11 @@ def _validation_doc(report) -> dict:
 
 
 def _load_channel(path: str, tol: Tolerances) -> tuple[KrausChannel, dict]:
-    _, ops = parse_channel_ops(_read(path))
+    dim, ops = parse_channel_ops(_read(path))
     report = validate_kraus(ops, tol)
     if not (report.is_trace_preserving and report.is_unital):
         raise ValidationError("channel is not unital trace-preserving", report=report)
-    return KrausChannel.from_kraus(ops, tol), _validation_doc(report)
+    return KrausChannel(dim=dim, kraus=ops), _validation_doc(report)
 
 
 def _subspace_doc(s) -> dict:

@@ -144,12 +144,10 @@ def offdiagonal_residual(ch: KrausChannel, s: Subspace) -> float:
         raise DimensionMismatch(f"subspace ambient dim {s.ambient_dim} != channel dim {ch.dim}")
     if s.dim == s.ambient_dim:
         return 0.0
+    a = ch.kraus
     b = s.basis
     c = orthonormal_complement(b, s.ambient_dim)
-    worst = 0.0
-    for a in ch.kraus:
-        worst = max(worst, max_abs(c.conj().T @ a @ b), max_abs(b.conj().T @ a @ c))
-    return worst
+    return max(max_abs(c.conj().T @ a @ b), max_abs(b.conj().T @ a @ c))
 
 
 def restrict(ch: KrausChannel, s: Subspace, tol: Tolerances = DEFAULT_TOL) -> KrausChannel:
@@ -161,7 +159,7 @@ def restrict(ch: KrausChannel, s: Subspace, tol: Tolerances = DEFAULT_TOL) -> Kr
             residual=report.residual,
         )
     b = s.basis
-    return KrausChannel.from_kraus([b.conj().T @ a @ b for a in ch.kraus], tol)
+    return KrausChannel.from_kraus(b.conj().T @ ch.kraus @ b, tol)
 
 
 def _canonical_basis(basis: np.ndarray) -> np.ndarray:
@@ -198,15 +196,12 @@ def _split(
         out.append(lift)
         return
 
-    d = basis.dim
     # a random real combination of the non-identity basis elements is
     # non-scalar (scalars are orthogonal to them), so it has >= 2 eigenvalue
     # clusters; retry guards against freak near-degenerate draws
     for _ in range(8):
         coeff = rng.standard_normal(basis.count - 1)
-        sigma = np.zeros((d, d), dtype=complex)
-        for c, h in zip(coeff, basis.hermitian_basis[1:]):
-            sigma += c * h
+        sigma = np.tensordot(coeff, basis.hermitian_basis[1:], axes=1)
         nrm = max_abs(sigma)
         if nrm < 1e-12:
             continue

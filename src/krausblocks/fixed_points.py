@@ -13,15 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import KrausChannel, unvec
-from .errors import (
-    DimensionMismatch,
-    NotADensityMatrix,
-    NotFixed,
-    NotNormalized,
-    ToleranceFailure,
-)
-from .linalg import DEFAULT_TOL, Tolerances, as_matrix, frozen, max_abs, null_space
+from .channel import KrausChannel
+from .errors import DimensionMismatch, NotFixed, NotNormalized, ToleranceFailure
+from .linalg import DEFAULT_TOL, Tolerances, as_matrix, density_matrix, frozen, max_abs, null_space
 
 # avoids a circular import; IrisDecomposition is only used for annotations
 from typing import TYPE_CHECKING
@@ -34,12 +28,13 @@ if TYPE_CHECKING:  # pragma: no cover
 class CommutantBasis:
     """Orthonormal Hermitian basis of the fixed-point set.
 
-    Elements are orthonormal under the trace inner product; the first one is
-    always the normalized identity ``I / sqrt(dim)``.
+    ``hermitian_basis`` is one read-only complex array of shape
+    ``(count, dim, dim)``. Elements are orthonormal under the trace inner
+    product; the first one is always the normalized identity ``I / sqrt(dim)``.
     """
 
     dim: int
-    hermitian_basis: tuple[np.ndarray, ...]
+    hermitian_basis: np.ndarray
 
     @property
     def count(self) -> int:
@@ -51,24 +46,27 @@ class CommutantBasis:
         the span's projector lies in this algebra (e.g. any eigenspace of an
         element)."""
         b = as_matrix(basis)
-        compressed = b.conj().T @ np.stack(self.hermitian_basis) @ b
+        compressed = b.conj().T @ self.hermitian_basis @ b
         return CommutantBasis(b.shape[1], _orthonormalize(b.shape[1], compressed))
 
     def project(self, sigma) -> np.ndarray:
         """Orthogonal projection of a Hermitian operator onto the fixed set."""
-        s = as_matrix(sigma)
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for h in self.hermitian_basis:
-            out += float(np.real(np.sum(h.conj() * s))) * h
-        return out
+        h = self.hermitian_basis
+        coeff = np.real(np.tensordot(h.conj(), as_matrix(sigma), axes=2))
+        return np.tensordot(coeff, h, axes=1)
 
 
 def _commutation_stack(ch: KrausChannel) -> np.ndarray:
-    """Rows of ``vec(A_i s - s A_i) = (I kron A_i - A_i^T kron I) vec(s)``."""
-    d = ch.dim
-    eye = np.eye(d)
-    blocks = [np.kron(eye, a) - np.kron(a.T, eye) for a in ch.kraus]
-    return np.vstack(blocks)
+    """Rows of ``vec(A_i s - s A_i) = (I kron A_i - A_i^T kron I) vec(s)``,
+    written in place at row ``(i, p, r)``, column ``(q, t)``: ``A_i[r, t]`` where
+    ``p = q``, minus ``A_i[q, p]`` where ``r = t``. No other large array."""
+    a = ch.kraus
+    k, d = a.shape[0], ch.dim
+    stack = np.zeros((k, d, d, d, d), dtype=complex)
+    for p in range(d):  # slices are views: all k operators at once, no temporaries
+        stack[:, p, :, p, :] += a
+        stack[:, :, p, :, p] -= a.transpose(0, 2, 1)
+    return stack.reshape(k * d * d, d * d)
 
 
 def commutant_basis(ch: KrausChannel, tol: Tolerances = DEFAULT_TOL) -> CommutantBasis:
@@ -83,12 +81,12 @@ def commutant_basis(ch: KrausChannel, tol: Tolerances = DEFAULT_TOL) -> Commutan
     kernel = null_space(_commutation_stack(ch), tol)
     n_complex = kernel.shape[1]
 
-    candidates = []
-    for k in range(n_complex):
-        b = unvec(kernel[:, k], d)
-        candidates.append((b + b.conj().T) / 2.0)
-        candidates.append((b - b.conj().T) / 2.0j)
-    basis = _orthonormalize(d, candidates)
+    # unvec of every kernel column (column-stacked), then its Hermitian and
+    # anti-Hermitian parts, interleaved per column
+    b = kernel.T.reshape(n_complex, d, d).transpose(0, 2, 1)
+    b_dag = b.conj().transpose(0, 2, 1)
+    candidates = np.stack([(b + b_dag) / 2.0, (b - b_dag) / 2.0j], axis=1)
+    basis = _orthonormalize(d, candidates.reshape(2 * n_complex, d, d))
 
     if len(basis) != n_complex:
         raise ToleranceFailure(
@@ -98,20 +96,23 @@ def commutant_basis(ch: KrausChannel, tol: Tolerances = DEFAULT_TOL) -> Commutan
     return CommutantBasis(dim=d, hermitian_basis=basis)
 
 
-def _orthonormalize(dim: int, candidates) -> tuple[np.ndarray, ...]:
-    """Trace-orthonormal basis of the span of Hermitian ``candidates``, with
-    the normalized identity pinned first. Modified Gram-Schmidt over the
-    reals: Hermitian matrices form a real vector space."""
-    basis: list[np.ndarray] = []
-    for c in [np.eye(dim, dtype=complex) / np.sqrt(dim), *candidates]:
-        r = c.copy()
+def _orthonormalize(dim: int, candidates: np.ndarray) -> np.ndarray:
+    """Trace-orthonormal basis ``(count, dim, dim)`` of the span of the Hermitian
+    ``candidates``, with the normalized identity pinned first. Gram-Schmidt over
+    the reals: Hermitian matrices form a real vector space, in which
+    ``Re tr(H^dagger R)`` is the dot product of the float views."""
+    pinned = np.eye(dim, dtype=complex)[None] / np.sqrt(dim)
+    vectors = np.concatenate([pinned, candidates]).reshape(-1, dim * dim).view(float)
+    basis = np.empty_like(vectors)
+    count = 0
+    for r in vectors:
         for _ in range(2):  # reorthogonalize once for 1e-12-level orthogonality
-            for h in basis:
-                r -= float(np.real(np.sum(h.conj() * r))) * h
-        norm = float(np.sqrt(np.real(np.sum(r.conj() * r))))
+            r = r - (basis[:count] @ r) @ basis[:count]
+        norm = float(np.linalg.norm(r))
         if norm > 1e-7:
-            basis.append(r / norm)
-    return tuple(frozen(h) for h in basis)
+            basis[count] = r / norm
+            count += 1
+    return frozen(basis[:count].view(complex).reshape(count, dim, dim))
 
 
 @dataclass(frozen=True)
@@ -134,7 +135,7 @@ def is_fixed(ch: KrausChannel, sigma, tol: Tolerances = DEFAULT_TOL) -> FixedPoi
     if s.shape != (ch.dim, ch.dim):
         raise DimensionMismatch(f"operator is {s.shape}, channel dim is {ch.dim}")
     fix_res = max_abs(ch.apply(s) - s)
-    comm_res = max(max_abs(a @ s - s @ a) for a in ch.kraus)
+    comm_res = max_abs(ch.kraus @ s - s @ ch.kraus)
     flag = fix_res <= tol.residual and comm_res <= tol.residual
     return FixedPointReport(is_fixed=flag, fix_residual=fix_res, commute_residual=comm_res)
 
@@ -159,14 +160,10 @@ def fixed_pure_state_check(
     nrm = float(np.linalg.norm(v))
     if abs(nrm - 1.0) > 1e-10:
         raise NotNormalized(f"|x| = {nrm:.12f} is not 1 within 1e-10")
-    eigenvalues = []
-    ok = True
-    for a in ch.kraus:
-        lam = complex(v.conj() @ (a @ v))
-        eigenvalues.append(lam)
-        if float(np.linalg.norm(a @ v - lam * v)) > tol.residual:
-            ok = False
-    return PureStateReport(is_fixed=ok, eigenvalues=tuple(eigenvalues))
+    av = ch.kraus @ v
+    lam = av @ v.conj()
+    ok = bool(np.all(np.linalg.norm(av - lam[:, None] * v, axis=1) <= tol.residual))
+    return PureStateReport(is_fixed=ok, eigenvalues=tuple(lam.tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,13 +204,7 @@ def classify_fixed_state(
     r = as_matrix(rho)
     if r.shape != (ch.dim, ch.dim):
         raise DimensionMismatch(f"state is {r.shape}, channel dim is {ch.dim}")
-    if max_abs(r - r.conj().T) > 1e-8:
-        raise NotADensityMatrix("state is not Hermitian within 1e-8")
-    if abs(float(np.real(np.trace(r))) - 1.0) > 1e-8:
-        raise NotADensityMatrix(f"trace is {np.real(np.trace(r)):.10f}, not 1 within 1e-8")
-    eigs = np.linalg.eigvalsh((r + r.conj().T) / 2.0)
-    if float(eigs[0]) < -1e-8:
-        raise NotADensityMatrix(f"minimum eigenvalue {eigs[0]:.3e} is below -1e-8")
+    density_matrix(r)
 
     report = is_fixed(ch, r, tol)
     if not report.is_fixed:

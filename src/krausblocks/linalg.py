@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotHermitian, NotOrthonormal
+from .errors import DimensionMismatch, NotADensityMatrix, NotHermitian, NotOrthonormal, NotUnitary
 
 
 @dataclass(frozen=True)
@@ -48,6 +48,20 @@ def as_matrix(m) -> np.ndarray:
     return a
 
 
+def operator_stack(ops) -> np.ndarray:
+    """Stack a nonempty sequence of ``d x d`` matrices into a complex
+    ``(k, d, d)`` array; a complex array of that shape is returned uncopied."""
+    try:
+        a = np.asarray(ops, dtype=complex)
+    except ValueError:
+        raise DimensionMismatch("operators must all be square matrices of one size") from None
+    if a.shape[:1] == (0,):
+        raise DimensionMismatch("need at least one operator")
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise DimensionMismatch(f"expected a stack of square matrices, got shape {a.shape}")
+    return a
+
+
 def max_abs(m) -> float:
     """Max-absolute-entry norm; 0 for empty arrays."""
     a = np.asarray(m)
@@ -59,6 +73,30 @@ def frozen(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=complex, copy=True)
     out.setflags(write=False)
     return out
+
+
+def require_unitary(u: np.ndarray, tol: Tolerances) -> None:
+    """Raise NotUnitary when ``max |U^dagger U - I|`` exceeds ``tol.residual``."""
+    dev = max_abs(u.conj().T @ u - np.eye(u.shape[0]))
+    if dev > tol.residual:
+        raise NotUnitary(f"max |U^dagger U - I| = {dev:.3e}")
+
+
+def density_matrix(rho) -> np.ndarray:
+    """Hermitian part of ``rho``; NotADensityMatrix unless ``rho`` is Hermitian,
+    positive semidefinite and of unit trace, each within 1e-8."""
+    r = as_matrix(rho)
+    if r.shape[0] != r.shape[1]:
+        raise NotADensityMatrix("state must be square")
+    if max_abs(r - r.conj().T) > 1e-8:
+        raise NotADensityMatrix("state is not Hermitian within 1e-8")
+    h = (r + r.conj().T) / 2
+    w = np.linalg.eigvalsh(h)
+    if float(w[0]) < -1e-8:
+        raise NotADensityMatrix(f"minimum eigenvalue {w[0]:.3e} is below -1e-8")
+    if abs(float(np.sum(w)) - 1.0) > 1e-8:
+        raise NotADensityMatrix(f"trace is {np.sum(w):.10f}, not 1 within 1e-8")
+    return h
 
 
 def is_hermitian(m: np.ndarray, tol: float) -> bool:

@@ -27,7 +27,9 @@ from krausblocks.errors import (
     NotADensityMatrix,
 )
 
-from tests.util import random_density, random_unit_vector, rotated_direct_sum
+from krausblocks.capacity import _ascent_parts
+
+from tests.util import random_density, random_hermitian, random_unit_vector, rotated_direct_sum
 
 
 class TestRenyiEntropy:
@@ -149,6 +151,35 @@ class TestExchangeMatrix:
             w2 = np.sort(np.linalg.eigvalsh(exchange_matrix(ch, rho)))[::-1]
             k = min(len(w1), len(w2))
             assert np.allclose(w1[:k], w2[:k], atol=1e-10)
+
+    def test_entrywise(self):
+        # W_ij = tr(A_i rho A_j^dagger) on a complex channel and state, where
+        # W is Hermitian but not symmetric, so W and W^T differ
+        ch = random_unital_channel(3, 4, seed=8)
+        rho = random_density(3, np.random.default_rng(6))
+        want = np.array([[np.trace(ai @ rho @ aj.conj().T) for aj in ch.kraus] for ai in ch.kraus])
+        assert np.max(np.abs(want - want.T)) > 1e-2
+        assert np.max(np.abs(exchange_matrix(ch, rho) - want)) < 1e-14
+
+
+class TestAscentGradient:
+    @pytest.mark.parametrize("include_input_entropy", [True, False])
+    def test_matches_central_differences(self, include_input_entropy):
+        # the gradient drops multiples of I, so it is checked along traceless
+        # Hermitian directions H: d/dt f(rho + t H) = tr(grad H)
+        ch = random_unital_channel(3, 4, seed=8)
+        rng = np.random.default_rng(9)
+        rho = random_density(3, rng)
+        _, grad = _ascent_parts(ch, rho, include_input_entropy)
+        eps = 1e-5
+        for _ in range(5):
+            h = random_hermitian(3, rng)
+            h -= np.trace(h) / 3 * np.eye(3)
+            h /= np.linalg.norm(h)
+            plus, _ = _ascent_parts(ch, rho + eps * h, include_input_entropy)
+            minus, _ = _ascent_parts(ch, rho - eps * h, include_input_entropy)
+            fd = (plus - minus) / (2 * eps)
+            assert abs(np.real(np.trace(grad @ h)) - fd) < 1e-6
 
 
 class TestEntAssistedCapacity:

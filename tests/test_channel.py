@@ -131,6 +131,33 @@ class TestAdjoint:
         assert r.is_trace_preserving and r.is_unital
 
 
+class TestStorage:
+    def test_kraus_is_a_read_only_stack(self):
+        ops = [haar_unitary(3, np.random.default_rng(s)) / 2 for s in range(4)]
+        for ch in (KrausChannel.from_kraus(ops), KrausChannel(dim=3, kraus=ops)):
+            for kraus in (ch.kraus, ch.adjoint().kraus):
+                assert isinstance(kraus, np.ndarray)
+                assert kraus.shape == (4, 3, 3) and kraus.dtype == complex
+                assert not kraus.flags.writeable
+                with pytest.raises(ValueError):
+                    kraus[0, 0, 0] = 1.0
+        # the stored array is a copy of the caller's, not a view of it
+        stack = np.array(ops)
+        ch = KrausChannel.from_kraus(stack)
+        stack[0] = 0.0
+        assert max_abs(ch.kraus[0] - ops[0]) == 0.0
+
+    def test_contractions_match_per_operator_loops(self):
+        ch = random_unital_channel(3, 4, seed=8)
+        rng = np.random.default_rng(2)
+        s = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        assert max_abs(ch.apply(s) - sum(a @ s @ a.conj().T for a in ch.kraus)) < 1e-14
+        adj = ch.adjoint().apply(s)
+        assert max_abs(adj - sum(a.conj().T @ s @ a for a in ch.kraus)) < 1e-14
+        sup = sum(np.kron(a.conj(), a) for a in ch.kraus)
+        assert max_abs(ch.superoperator_matrix() - sup) < 1e-14
+
+
 class TestSuperoperator:
     def test_identity(self):
         assert max_abs(identity_channel(2).superoperator_matrix() - np.eye(4)) == 0.0
@@ -176,7 +203,7 @@ class TestRemix:
         rng = np.random.default_rng(29)
         ch = dephasing_qubit()
         u = haar_unitary(4, rng)
-        out = ch.remix(u, pad=4)
+        out = ch.remix(u)
         assert out.n_kraus == 4
         assert superoperator_distance(out, ch) <= 1e-10
 

@@ -16,11 +16,11 @@ from krausblocks.serialize import (
     parse_channel,
     parse_measurement,
 )
-from krausblocks import depolarizing_channel, dephasing_channel
+from krausblocks import channel, depolarizing_channel, dephasing_channel, fixed_points
 
 from tests.util import (
     computational_measurement,
-    count_commutant_solves,
+    count_calls,
     coupled_blocks,
     random_density,
     rotated_direct_sum,
@@ -175,7 +175,7 @@ class TestOneCommutantSolve:
     def test_once_per_invocation(self, tmp_path, monkeypatch, dims, verb):
         ch, _, _ = rotated_direct_sum(dims, seed=21)
         path = write(tmp_path, "ch.json", dumps_report(channel_to_document(ch)))
-        calls = count_commutant_solves(monkeypatch)
+        calls = count_calls(monkeypatch, fixed_points, "commutant_basis")
         code, out, _ = run([verb[0], path, *verb[1:]])
         assert code == 0
         assert len(calls) == 1
@@ -185,7 +185,7 @@ class TestOneCommutantSolve:
     def test_once_per_match_seed(self, tmp_path, monkeypatch):
         ch, _, _ = rotated_direct_sum((1, 2, 3), seed=21)
         path = write(tmp_path, "ch.json", dumps_report(channel_to_document(ch)))
-        calls = count_commutant_solves(monkeypatch)
+        calls = count_calls(monkeypatch, fixed_points, "commutant_basis")
         code, _, _ = run(["match", path, "--seeds", "1", "2"])
         assert code == 0
         assert len(calls) == 2
@@ -196,11 +196,33 @@ class TestOneCommutantSolve:
         path = write(tmp_path, "id.json", dumps_report(channel_to_document(identity_channel(2))))
         rho = random_density(2, np.random.default_rng(4))
         spath = write(tmp_path, "rho.json", dumps_report(operator_to_document(rho)))
-        calls = count_commutant_solves(monkeypatch)
+        calls = count_calls(monkeypatch, fixed_points, "commutant_basis")
         code, out, _ = run(["fixed-states", path, "--state", spath])
         assert code == 0
         assert json.loads(out)["classification"]["type"] == "degenerate"
         assert len(calls) == 1
+
+
+class TestOneValidation:
+    @pytest.mark.parametrize("unital", [True, False])
+    def test_once_per_decompose(self, tmp_path, monkeypatch, unital):
+        ch, _, _ = rotated_direct_sum((1, 2, 3), seed=21)
+        ops = [np.array(a) for a in ch.kraus]
+        if not unital:
+            ops[0] = ops[0] + 1e-6 * np.eye(6)
+        doc = {"schema_version": "1", "dim": 6, "kraus": [matrix_to_wire(a) for a in ops]}
+        path = write(tmp_path, "ch.json", json.dumps(doc))
+        calls = count_calls(monkeypatch, channel, "validate_kraus")
+        code, out, _ = run(["decompose", path])
+        assert len(calls) == 1
+        rep = json.loads(out)
+        if unital:
+            assert code == 0
+            assert rep["validation"]["is_unital"] is True
+        else:
+            assert code == 1
+            assert rep["error"]["type"] == "ValidationError"
+            assert rep["error"]["validation"]["unital_residual"] > 1e-7
 
 
 class TestNumericalFailure:

@@ -25,10 +25,11 @@ from krausblocks.errors import (
     NotOrthonormal,
     ToleranceFailure,
 )
+from krausblocks import fixed_points
 from krausblocks.linalg import max_abs
 
 from tests.util import (
-    count_commutant_solves,
+    count_calls,
     coupled_blocks,
     random_subspace,
     random_unit_vector,
@@ -193,7 +194,7 @@ class TestDecompose:
     @pytest.mark.parametrize("dims", [(1, 2, 3), (6,)])
     def test_one_commutant_solve(self, monkeypatch, dims):
         ch, _, _ = rotated_direct_sum(dims, seed=21)
-        calls = count_commutant_solves(monkeypatch)
+        calls = count_calls(monkeypatch, fixed_points, "commutant_basis")
         dec = iris_decompose(ch, seed=0)
         assert len(calls) == 1
         assert dec.commutant.count == len(dims)

@@ -20,6 +20,7 @@ from krausblocks import (
     unitary_channel,
 )
 from krausblocks.errors import NotADensityMatrix, NotFixed, NotNormalized
+from krausblocks.fixed_points import _commutation_stack
 from krausblocks.linalg import max_abs
 
 from tests.util import (
@@ -37,6 +38,21 @@ def block_channel_2_3() -> KrausChannel:
 
 
 class TestCommutantBasis:
+    def test_basis_is_a_read_only_stack(self):
+        cb = commutant_basis(block_channel_2_3())
+        for basis, dim in ((cb.hermitian_basis, 5), (cb.compress(np.eye(5)[:, :2]).hermitian_basis, 2)):
+            assert isinstance(basis, np.ndarray)
+            assert basis.shape[1:] == (dim, dim) and basis.dtype == complex
+            assert not basis.flags.writeable
+            with pytest.raises(ValueError):
+                basis[0, 0, 0] = 1.0
+
+    def test_commutation_stack_matches_kron_blocks(self):
+        ch = random_unital_channel(3, 4, seed=8)
+        eye = np.eye(3)
+        blocks = [np.kron(eye, a) - np.kron(a.T, eye) for a in ch.kraus]
+        assert max_abs(_commutation_stack(ch) - np.vstack(blocks)) == 0.0
+
     def test_identity_channel_full_space(self):
         cb = commutant_basis(identity_channel(2))
         assert cb.count == 4

@@ -14,7 +14,7 @@ from krausblocks import (
     random_unital_channel,
     unvec,
 )
-from krausblocks import cli, decomposition, fixed_points
+from krausblocks import capacity, channel, cli, decomposition, fixed_points, measurement
 from krausblocks.linalg import DEFAULT_TOL
 
 
@@ -110,19 +110,19 @@ def coupled_blocks(eps: float, seed: int = 0) -> KrausChannel:
     return KrausChannel.from_kraus([g @ a for a in ch.kraus])
 
 
-def count_commutant_solves(monkeypatch) -> list:
-    """Patch ``commutant_basis`` in every package module that imported it;
-    the returned list gains one entry per solve."""
+def count_calls(monkeypatch, module, name: str) -> list:
+    """Patch ``module.<name>`` in every package module that imported it; the
+    returned list gains one entry per call."""
     calls = []
-    real = fixed_points.commutant_basis
+    real = getattr(module, name)
 
     def counting(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    for module in (fixed_points, decomposition, cli):
-        if hasattr(module, "commutant_basis"):
-            monkeypatch.setattr(module, "commutant_basis", counting)
+    for m in (channel, fixed_points, decomposition, measurement, capacity, cli):
+        if getattr(m, name, None) is real:
+            monkeypatch.setattr(m, name, counting)
     return calls
 
 
