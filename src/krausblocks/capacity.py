@@ -1,16 +1,21 @@
 """Entropic channel quantities and their block-combination rules.
 
-The block rules are exact for the minimal output entropy and only lower
-bounds for coherent information and the entanglement-assisted capacity (see
+The block rule is exact for the minimal output entropy and only a lower
+bound for coherent information and the entanglement-assisted capacity (see
 ``reduce_over_blocks``).
 
 Output entropies are minimized over pure inputs by projected gradient descent
-on the unit sphere with seeded restarts; the entanglement-assisted capacity
-maximizes the quantum mutual information, which is concave, by monotone
-mirror ascent with a duality-gap stopping certificate. The environment side
-of the mutual information uses the exchange matrix ``W_ij = tr(A_i rho
-A_j^dagger)``, whose nonzero spectrum matches the joint output of the channel
-applied to half of a purification.
+on the unit sphere with seeded restarts; coherent information and the
+entanglement-assisted capacity are maximized over states by monotone mirror
+ascent with a duality-gap stopping certificate (the mutual information is
+concave, so one start suffices there). The restarts of one call run as one
+batch: their vectors or states are stacked, each step evaluates every restart
+still running with one batched ``eigh``/``matmul`` (``KrausChannel.apply`` and
+``exchange_matrix`` take a leading batch axis), and each restart keeps its
+own step size and stopping rule, so it takes the path it would take alone.
+The environment side of the mutual information uses the exchange matrix
+``W_ij = tr(A_i rho A_j^dagger)``, whose nonzero spectrum matches the joint
+output of the channel applied to half of a purification.
 
 All values are in bits.
 """
@@ -29,7 +34,7 @@ from .errors import (
     InvalidParameter,
     NonConvergence,
 )
-from .linalg import DEFAULT_TOL, Tolerances, as_matrix, density_matrix
+from .linalg import DEFAULT_TOL, Tolerances, density_matrix
 
 _LN2 = float(np.log(2.0))
 _EIG_FLOOR = 1e-18
@@ -59,12 +64,29 @@ class ChannelQuantity:
     achieved_argument: np.ndarray | None = None
 
 
-def _entropy_bits(eigs: np.ndarray) -> float:
-    lam = np.clip(np.real(np.asarray(eigs)), 0.0, None)
-    lam = lam[lam > _EIG_FLOOR]
-    if lam.size == 0:
-        return 0.0
-    return float(-np.sum(lam * np.log2(lam)))
+def _dag(m: np.ndarray) -> np.ndarray:
+    return m.conj().swapaxes(-1, -2)
+
+
+def _herm(m: np.ndarray) -> np.ndarray:
+    return (m + _dag(m)) / 2
+
+
+def _entropy_bits(eigs: np.ndarray):
+    """Von Neumann entropy, in bits, of each spectrum along the last axis."""
+    lam = np.clip(np.real(eigs), 0.0, None)
+    # eigenvalues at or below the floor contribute exactly 0
+    return -np.sum(lam * np.log2(np.where(lam > _EIG_FLOOR, lam, 1.0)), axis=-1)
+
+
+def _renyi_bits(eigs: np.ndarray, alpha: float):
+    """Renyi-``alpha`` entropy, in bits, of each spectrum along the last axis,
+    renormalized to unit mass."""
+    lam = np.clip(eigs, 0.0, None)
+    lam = lam / np.sum(lam, axis=-1, keepdims=True)
+    if alpha == 1:
+        return _entropy_bits(lam)
+    return np.log2(np.sum(lam**alpha, axis=-1)) / (1.0 - alpha)
 
 
 def renyi_entropy(rho, alpha: float) -> float:
@@ -78,40 +100,35 @@ def renyi_entropy(rho, alpha: float) -> float:
     if alpha < 1:
         raise InvalidAlpha(f"Renyi order must be >= 1, got {alpha}")
     h = density_matrix(rho)
-    lam = np.clip(np.linalg.eigvalsh(h), 0.0, None)
-    lam = lam / np.sum(lam)
-    if alpha == 1:
-        return max(0.0, _entropy_bits(lam))
-    return max(0.0, float(np.log2(np.sum(lam**alpha)) / (1.0 - alpha)))
+    return max(0.0, float(_renyi_bits(np.linalg.eigvalsh(h), alpha)))
 
 
 def exchange_matrix(ch: KrausChannel, rho) -> np.ndarray:
-    """The ``n_kraus x n_kraus`` matrix ``W_ij = tr(A_i rho A_j^dagger)``."""
+    """The ``n_kraus x n_kraus`` matrix ``W_ij = tr(A_i rho A_j^dagger)``.
+
+    ``rho`` may carry leading batch axes, ``(..., dim, dim)``; the result then
+    has shape ``(..., n_kraus, n_kraus)``.
+    """
     a = ch.kraus
-    w = np.tensordot(a @ as_matrix(rho), a.conj(), axes=([1, 2], [1, 2]))
-    return (w + w.conj().T) / 2
+    k, d = a.shape[0], ch.dim
+    r = np.asarray(rho, dtype=complex)
+    b = (a @ r[..., None, :, :]).reshape(*r.shape[:-2], k, d * d)
+    return _herm(b @ a.conj().reshape(k, d * d).T)
 
 
 def quantum_mutual_information(ch: KrausChannel, rho) -> float:
     """``S(rho) + S(phi(rho)) - S(W(rho))`` in bits; concave in the state."""
     h = density_matrix(rho)
-    return (
-        _entropy_bits(np.linalg.eigvalsh(h))
-        + _entropy_bits(np.linalg.eigvalsh(_herm(ch.apply(h))))
-        - _entropy_bits(np.linalg.eigvalsh(exchange_matrix(ch, h)))
-    )
+    return float(_entropy_bits(np.linalg.eigvalsh(h))) + coherent_information_value(ch, h)
 
 
 def coherent_information_value(ch: KrausChannel, rho) -> float:
     """``S(phi(rho)) - S(W(rho))`` in bits for one input state."""
     h = density_matrix(rho)
-    return _entropy_bits(np.linalg.eigvalsh(_herm(ch.apply(h)))) - _entropy_bits(
-        np.linalg.eigvalsh(exchange_matrix(ch, h))
+    return float(
+        _entropy_bits(np.linalg.eigvalsh(_herm(ch.apply(h))))
+        - _entropy_bits(np.linalg.eigvalsh(exchange_matrix(ch, h)))
     )
-
-
-def _herm(m: np.ndarray) -> np.ndarray:
-    return (m + m.conj().T) / 2
 
 
 # ---------------------------------------------------------------------------
@@ -119,65 +136,82 @@ def _herm(m: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _output_state(ch: KrausChannel, x: np.ndarray) -> np.ndarray:
-    return _herm(ch.apply(np.outer(x, x.conj())))
-
-
-def _output_renyi_value(ch: KrausChannel, x: np.ndarray, alpha: float) -> float:
-    lam = np.clip(np.linalg.eigvalsh(_output_state(ch, x)), 0.0, None)
-    lam = lam / np.sum(lam)
-    if alpha == 1:
-        return _entropy_bits(lam)
-    return float(np.log2(np.sum(lam**alpha)) / (1.0 - alpha))
+def _output_renyi(
+    ch: KrausChannel, x: np.ndarray, alpha: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Output states and their Renyi entropies for the pure inputs in the rows of ``x``."""
+    out = _herm(ch.apply(x[:, :, None] * x[:, None, :].conj()))
+    return out, _renyi_bits(np.linalg.eigvalsh(out), alpha)
 
 
 def _entropy_gradient_matrix(rho: np.ndarray, alpha: float) -> np.ndarray:
-    """d S_alpha / d rho as a Hermitian matrix, eigenvalues floored for logs."""
+    """d S_alpha / d rho for each state of a stack, as Hermitian matrices,
+    eigenvalues floored for logs."""
     w, v = np.linalg.eigh(rho)
     lam = np.clip(w, _EIG_FLOOR, None)
     if alpha == 1:
         g = -(np.log2(lam) + 1.0 / _LN2)
     else:
-        t = float(np.sum(lam**alpha))
+        t = np.sum(lam**alpha, axis=-1, keepdims=True)
         g = (alpha / ((1.0 - alpha) * t * _LN2)) * lam ** (alpha - 1.0)
-    return (v * g) @ v.conj().T
+    return (v * g[:, None, :]) @ _dag(v)
 
 
 def _sphere_descent(
     ch: KrausChannel, alpha: float, x0: np.ndarray, max_iters: int = 400
-) -> tuple[float, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Projected gradient descent on the unit sphere from every row of ``x0``.
+
+    All restarts advance together, one batched evaluation per step, but each
+    keeps its own step size, Armijo line search and stopping rule, and leaves
+    the batch when it stops, so its path is the one it would take alone.
+    Returns each restart's final value, point and number of accepted steps.
+    """
     adjoint = ch.adjoint()
-    x = x0 / np.linalg.norm(x0)
-    f = _output_renyi_value(ch, x, alpha)
-    eta = 0.2
-    stall = 0
+    n = len(x0)
+    x = x0 / np.linalg.norm(x0, axis=1, keepdims=True)
+    out, f = _output_renyi(ch, x, alpha)
+    eta = np.full(n, 0.2)
+    stall = np.zeros(n, dtype=int)
+    steps = np.zeros(n, dtype=int)
+    active = np.ones(n, dtype=bool)
     for _ in range(max_iters):
-        m = adjoint.apply(_entropy_gradient_matrix(_output_state(ch, x), alpha))
-        grad = 2.0 * (m @ x)
-        grad = grad - float(np.real(x.conj() @ grad)) * x  # project onto the tangent space
-        gn = float(np.linalg.norm(grad))
-        if gn < 1e-10:
+        live = np.flatnonzero(active)
+        if live.size == 0:
             break
-        f_prev = f
-        moved = False
-        while eta > 1e-14:
-            xn = x - eta * grad
-            xn = xn / np.linalg.norm(xn)
-            fn = _output_renyi_value(ch, xn, alpha)
-            if fn < f - 1e-4 * eta * gn * gn:
-                x, f = xn, fn
-                eta = min(eta * 1.5, 1.0)
-                moved = True
-                break
-            eta *= 0.5
-        if not moved:
-            break
+        xl = x[live]
+        m = adjoint.apply(_entropy_gradient_matrix(out[live], alpha))
+        grad = 2.0 * (m @ xl[:, :, None])[:, :, 0]
+        # project onto the tangent space
+        grad = grad - np.real(np.sum(xl.conj() * grad, axis=1))[:, None] * xl
+        gn = np.linalg.norm(grad, axis=1)
+        done = gn < 1e-10
+        active[live[done]] = False
+        live, xl, grad, gn = live[~done], xl[~done], grad[~done], gn[~done]
+        f_prev = f[live]
+        moved = np.zeros(live.size, dtype=bool)
+        search = eta[live] > 1e-14
+        while search.any():
+            s = np.flatnonzero(search)
+            i = live[s]
+            xn = xl[s] - eta[i][:, None] * grad[s]
+            xn = xn / np.linalg.norm(xn, axis=1, keepdims=True)
+            on, fn = _output_renyi(ch, xn, alpha)
+            ok = fn < f[i] - 1e-4 * eta[i] * gn[s] * gn[s]
+            a, r = i[ok], i[~ok]
+            x[a], out[a], f[a] = xn[ok], on[ok], fn[ok]
+            eta[a] = np.minimum(eta[a] * 1.5, 1.0)
+            eta[r] *= 0.5
+            moved[s[ok]] = True
+            search[s] = ~ok & (eta[i] > 1e-14)
+        active[live[~moved]] = False
+        live, f_prev = live[moved], f_prev[moved]
+        steps[live] += 1
         # linear local convergence: a couple of sub-1e-10 steps means the
         # remaining tail is far below the optimizer tolerance
-        stall = stall + 1 if f_prev - f < 1e-10 else 0
-        if stall >= 2:
-            break
-    return f, x
+        stall[live] = np.where(f_prev - f[live] < 1e-10, stall[live] + 1, 0)
+        active[live[stall[live] >= 2]] = False
+    return f, x, steps
 
 
 def min_output_renyi(
@@ -189,28 +223,24 @@ def min_output_renyi(
 ) -> ChannelQuantity:
     """Best-effort minimal output Renyi entropy over pure inputs.
 
-    Multi-start projected gradient descent; deterministic for a fixed seed.
-    The reported value is an upper bound on the true minimum.
+    Multi-start projected gradient descent, all restarts run as one batch;
+    deterministic for a fixed seed. The reported value is an upper bound on
+    the true minimum.
     """
     if alpha < 1:
         raise InvalidAlpha(f"Renyi order must be >= 1, got {alpha}")
     if restarts < 1:
         raise InvalidParameter("restarts must be >= 1")
-    rng = np.random.default_rng(seed)
-    best_f = np.inf
-    best_x = None
-    for _ in range(restarts):
-        x0 = rng.standard_normal(ch.dim) + 1j * rng.standard_normal(ch.dim)
-        f, x = _sphere_descent(ch, alpha, x0)
-        if f < best_f:
-            best_f, best_x = f, x
+    z = np.random.default_rng(seed).standard_normal((restarts, 2, ch.dim))
+    f, x, _ = _sphere_descent(ch, alpha, z[:, 0] + 1j * z[:, 1])
+    best = int(np.argmin(f))  # ties go to the first restart
     return ChannelQuantity(
         kind="min_output_renyi",
-        value=max(0.0, float(best_f)),
+        value=max(0.0, float(f[best])),
         method="optimized",
         restarts_used=restarts,
         alpha=float(alpha),
-        achieved_argument=best_x,
+        achieved_argument=x[best],
     )
 
 
@@ -219,36 +249,35 @@ def min_output_renyi(
 # ---------------------------------------------------------------------------
 
 
-def _log2_psd(m: np.ndarray) -> np.ndarray:
+def _eigh_log(m: np.ndarray, log=np.log2) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and matrix logarithm (eigenvalues floored) of Hermitian
+    PSD matrices, one per leading index."""
     w, v = np.linalg.eigh(m)
-    return (v * np.log2(np.clip(w, _EIG_FLOOR, None))) @ v.conj().T
+    return w, (v * log(np.clip(w, _EIG_FLOOR, None))[..., None, :]) @ _dag(v)
 
 
 def _ascent_parts(ch: KrausChannel, rho: np.ndarray, include_input_entropy: bool):
-    """Objective value and gradient (bits), dropping additive multiples of I."""
-    out = _herm(ch.apply(rho))
-    w_ex = exchange_matrix(ch, rho)
-    value = _entropy_bits(np.linalg.eigvalsh(out)) - _entropy_bits(
-        np.linalg.eigvalsh(w_ex)
-    )
+    """Objective values and gradients (bits) of a state or a stack of states,
+    dropping additive multiples of I."""
+    w_out, log_out = _eigh_log(_herm(ch.apply(rho)))
+    w_ex, log_ex = _eigh_log(exchange_matrix(ch, rho))
+    value = _entropy_bits(w_out) - _entropy_bits(w_ex)
     # sum_j A_j^dagger (sum_i log W_ji A_i)
     a = ch.kraus
-    mixed = np.tensordot(_log2_psd(w_ex), a, axes=(1, 0))
-    lam = np.tensordot(a.conj(), mixed, axes=([0, 1], [0, 1]))
-    grad = -ch.adjoint().apply(_log2_psd(out)) + _herm(lam)
+    lam = np.sum(_dag(a) @ np.tensordot(log_ex, a, axes=(-1, 0)), axis=-3)
+    grad = -ch.adjoint().apply(log_out) + _herm(lam)
     if include_input_entropy:
-        value += _entropy_bits(np.linalg.eigvalsh(rho))
-        grad = grad - _log2_psd(rho)
+        w_in, log_in = _eigh_log(rho)
+        value = value + _entropy_bits(w_in)
+        grad = grad - log_in
     return value, _herm(grad)
 
 
-def _mirror_step(rho: np.ndarray, grad_bits: np.ndarray, eta: float) -> np.ndarray:
-    w, v = np.linalg.eigh(rho)
-    log_rho = (v * np.log(np.clip(w, _EIG_FLOOR, None))) @ v.conj().T
-    m = _herm(log_rho + eta * _LN2 * grad_bits)
-    w2, v2 = np.linalg.eigh(m)
-    e = np.exp(w2 - w2.max())
-    return (v2 * (e / np.sum(e))) @ v2.conj().T
+def _mirror_step(log_rho: np.ndarray, grad_bits: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    m = _herm(log_rho + (eta * _LN2)[:, None, None] * grad_bits)
+    w, v = np.linalg.eigh(m)
+    e = np.exp(w - w.max(axis=-1, keepdims=True))
+    return (v * (e / np.sum(e, axis=-1, keepdims=True))[:, None, :]) @ _dag(v)
 
 
 def _state_ascent(
@@ -257,29 +286,48 @@ def _state_ascent(
     include_input_entropy: bool,
     gap_tol: float,
     max_iters: int,
-) -> tuple[float, np.ndarray, float]:
-    """Monotone mirror ascent; returns (value, state, final duality gap)."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Monotone mirror ascent from every state of the stack ``rho0``.
+
+    All starts advance together, one batched evaluation per step, but each
+    restarts its own line search at step 1, stops on its own duality-gap
+    certificate and leaves the batch when it stops. Returns each start's
+    final value, state, last duality gap and number of accepted steps.
+    """
     rho = _herm(np.asarray(rho0, dtype=complex))
     value, grad = _ascent_parts(ch, rho, include_input_entropy)
-    gap = np.inf
+    n = len(rho)
+    gap = np.full(n, np.inf)
+    steps = np.zeros(n, dtype=int)
+    active = np.ones(n, dtype=bool)
     for _ in range(max_iters + 1):  # the +1 lets an optimal start certify itself
-        top = float(np.linalg.eigvalsh(grad)[-1])
-        gap = top - float(np.real(np.sum(grad.conj() * rho)))
-        if gap <= gap_tol:
+        live = np.flatnonzero(active)
+        if live.size == 0:
             break
-        eta = 1.0
-        accepted = False
-        while eta > 1e-8:
-            cand = _mirror_step(rho, grad, eta)
+        g = grad[live]
+        top = np.linalg.eigvalsh(g)[:, -1]
+        gap[live] = top - np.real(np.sum(g.conj() * rho[live], axis=(1, 2)))
+        done = gap[live] <= gap_tol
+        active[live[done]] = False
+        live = live[~done]
+        log_rho = _eigh_log(rho[live], np.log)[1]
+        eta = np.ones(live.size)
+        accepted = np.zeros(live.size, dtype=bool)
+        search = np.ones(live.size, dtype=bool)
+        while search.any():
+            s = np.flatnonzero(search)
+            i = live[s]
+            cand = _mirror_step(log_rho[s], grad[i], eta[s])
             v_c, g_c = _ascent_parts(ch, cand, include_input_entropy)
-            if v_c > value + 1e-15:
-                rho, value, grad = cand, v_c, g_c
-                accepted = True
-                break
-            eta *= 0.5
-        if not accepted:
-            break
-    return value, rho, gap
+            ok = v_c > value[i] + 1e-15
+            a = i[ok]
+            rho[a], value[a], grad[a] = cand[ok], v_c[ok], g_c[ok]
+            eta[s[~ok]] *= 0.5
+            accepted[s[ok]] = True
+            search[s] = ~ok & (eta[s] > 1e-8)
+        active[live[~accepted]] = False
+        steps[live[accepted]] += 1
+    return value, rho, gap, steps
 
 
 def ent_assisted_capacity(
@@ -291,27 +339,28 @@ def ent_assisted_capacity(
     """Entanglement-assisted classical capacity: the maximum quantum mutual
     information over input states.
 
-    The objective is concave, so the mirror ascent converges to the global
-    maximum; iteration stops once the concavity duality gap certifies the
-    value to within ``tol.optimizer`` bits.
+    The objective is concave, so the mirror ascent (a batch of one start, the
+    maximally mixed state) converges to the global maximum; iteration stops
+    once the concavity duality gap certifies the value to within
+    ``tol.optimizer`` bits.
     """
     if ch.dim > dim_cap:
         raise DimensionTooLarge(f"dim {ch.dim} exceeds the configured cap {dim_cap}")
-    rho0 = np.eye(ch.dim, dtype=complex) / ch.dim
-    value, rho, gap = _state_ascent(
+    rho0 = np.eye(ch.dim, dtype=complex)[None] / ch.dim
+    value, rho, gap, _ = _state_ascent(
         ch, rho0, include_input_entropy=True, gap_tol=tol.optimizer * 0.5, max_iters=max_iters
     )
-    if gap > tol.optimizer:
+    if gap[0] > tol.optimizer:
         raise NonConvergence(
-            f"mutual-information ascent stalled with duality gap {gap:.3e} bits "
+            f"mutual-information ascent stalled with duality gap {gap[0]:.3e} bits "
             f"after {max_iters} iterations"
         )
     return ChannelQuantity(
         kind="ent_assisted_capacity",
-        value=max(0.0, float(value)),
+        value=max(0.0, float(value[0])),
         method="optimized",
         restarts_used=1,
-        achieved_argument=rho,
+        achieved_argument=rho[0],
     )
 
 
@@ -326,39 +375,32 @@ def coherent_information(
 
     The objective is not concave, so this is multi-start local ascent from
     the maximally mixed state, the computational pure states, and seeded
-    random states; the result is a lower bound on the true maximum. Pure
-    inputs give exactly zero, so the value is always nonnegative.
+    random states, all run as one batch; the result is a lower bound on the
+    true maximum. Pure inputs give exactly zero, so the value is always
+    nonnegative.
     """
     if restarts < 1:
         raise InvalidParameter("restarts must be >= 1")
-    rng = np.random.default_rng(seed)
     d = ch.dim
-    starts = [np.eye(d, dtype=complex) / d]
-    for k in range(d):
-        e = np.zeros((d, d), dtype=complex)
-        e[k, k] = 1.0
-        starts.append(0.999 * e + 0.001 * np.eye(d) / d)
-    for _ in range(restarts):
-        z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        m = z @ z.conj().T
-        starts.append(m / np.real(np.trace(m)))
-
-    best_v = 0.0  # pure inputs achieve exactly 0
-    best_rho = None
-    for rho0 in starts:
-        v, rho, _ = _state_ascent(
-            ch, rho0, include_input_entropy=False, gap_tol=tol.optimizer * 0.5,
-            max_iters=max_iters,
-        )
-        if v > best_v:
-            best_v, best_rho = v, rho
-    if best_rho is None:
-        e = np.zeros((d, d), dtype=complex)
-        e[0, 0] = 1.0
-        best_rho = e
+    eye = np.eye(d, dtype=complex)
+    corners = 0.999 * eye[:, :, None] * eye[:, None, :] + 0.001 * np.eye(d) / d
+    z = np.random.default_rng(seed).standard_normal((restarts, 2, d, d))
+    z = z[:, 0] + 1j * z[:, 1]
+    m = z @ _dag(z)
+    randoms = m / np.real(np.trace(m, axis1=1, axis2=2))[:, None, None]
+    starts = np.concatenate([eye[None] / d, corners, randoms])
+    v, rho, _, _ = _state_ascent(
+        ch, starts, include_input_entropy=False, gap_tol=tol.optimizer * 0.5,
+        max_iters=max_iters,
+    )
+    best = int(np.argmax(v))  # ties go to the first start
+    if v[best] > 0.0:
+        best_v, best_rho = float(v[best]), rho[best]
+    else:  # pure inputs achieve exactly 0
+        best_v, best_rho = 0.0, np.outer(eye[0], eye[0])
     return ChannelQuantity(
         kind="coherent_information",
-        value=float(best_v),
+        value=best_v,
         method="optimized",
         restarts_used=restarts,
         achieved_argument=best_rho,

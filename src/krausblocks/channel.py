@@ -90,12 +90,16 @@ class KrausChannel:
         return len(self.kraus)
 
     def apply(self, sigma) -> np.ndarray:
-        """Evaluate ``sum_i A_i sigma A_i^dagger``."""
-        s = as_matrix(sigma)
-        if s.shape != (self.dim, self.dim):
+        """Evaluate ``sum_i A_i sigma A_i^dagger``.
+
+        ``sigma`` is one ``dim x dim`` operator or a stack of them with leading
+        batch axes, ``(..., dim, dim)``; each operator is mapped on its own.
+        """
+        s = np.asarray(sigma, dtype=complex)
+        if s.shape[-2:] != (self.dim, self.dim):
             raise DimensionMismatch(f"operator is {s.shape}, channel dim is {self.dim}")
         a = self.kraus
-        return np.sum(a @ s @ a.conj().transpose(0, 2, 1), axis=0)
+        return np.sum(a @ s[..., None, :, :] @ a.conj().transpose(0, 2, 1), axis=-3)
 
     def adjoint(self) -> "KrausChannel":
         """The adjoint channel, with Kraus operators ``A_i^dagger``.

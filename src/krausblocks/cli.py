@@ -2,8 +2,9 @@
 
 One machine-readable JSON report goes to stdout, a short human summary to
 stderr. Exit codes: 0 success, 1 channel-validation failure, 2 parse or
-argument error, 3 tolerance, convergence or numerical failure. Reports embed
-the schema version and tolerances and are byte-identical for identical inputs.
+argument error (a dimension mismatch between input documents included), 3
+tolerance, convergence or numerical failure. Reports embed the schema
+version and tolerances and are byte-identical for identical inputs.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .capacity import (
 from .channel import KrausChannel, standard_channel, validate_kraus
 from .decomposition import IrisDecomposition, iris_decompose, match_decompositions, restrict
 from .errors import (
+    DimensionMismatch,
     InvalidMeasurement,
     InvalidParameter,
     KrausBlocksError,
@@ -359,8 +361,14 @@ def _cmd_capacity(args, tol):
         "per_block": per_block,
         "combined_bits": combined,
     }
+    # each block value is a best-effort multi-start optimum: an upper bound on
+    # the minimal output entropy, which the min rule keeps, and a lower bound
+    # on the coherent information, which the max rule keeps
     if kind == "min_output_renyi":
         qdoc["alpha"] = args.alpha
+        qdoc["bound"] = "upper"
+    if kind == "coherent_information":
+        qdoc["bound"] = "lower"
     if kind != "ent_assisted_capacity":
         qdoc["restarts"] = args.restarts
     out["quantity"] = qdoc
@@ -440,7 +448,7 @@ def run_command(argv) -> int:
         print(dumps_report(_error_report(command, exc, {"path": exc.path})))
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except InvalidParameter as exc:
+    except (InvalidParameter, DimensionMismatch) as exc:
         print(dumps_report(_error_report(command, exc)))
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -11,12 +11,15 @@ blocks of value 0, reaches the upper end at 2 bits).
 """
 
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
+import krausblocks
 from krausblocks import (
     IrisDecomposition,
     Povm,
@@ -415,12 +418,22 @@ class TestCriterion10:
         )
 
 
+# the CLI subprocesses import the package this suite imported, also when it
+# is found through pytest's ``pythonpath`` setting and not the environment
+_CLI_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(Path(krausblocks.__file__).parents[1]), os.environ.get("PYTHONPATH")])
+    ),
+}
+
+
 class TestCriterion11:
     def test_cli_determinism(self, tmp_path):
         gen = subprocess.run(
             [sys.executable, "-m", "krausblocks.cli", "gen", "--kind", "random_unital",
              "--dim", "3", "--n-unitaries", "3", "--seed", "5"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=_CLI_ENV,
         )
         assert gen.returncode == 0
         path = tmp_path / "ch.json"
@@ -434,7 +447,7 @@ class TestCriterion11:
             runs = [
                 subprocess.run(
                     [sys.executable, "-m", "krausblocks.cli", *args],
-                    capture_output=True, text=True,
+                    capture_output=True, text=True, env=_CLI_ENV,
                 )
                 for _ in range(2)
             ]

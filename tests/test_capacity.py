@@ -27,7 +27,8 @@ from krausblocks.errors import (
     NotADensityMatrix,
 )
 
-from krausblocks.capacity import _ascent_parts
+from krausblocks.capacity import _ascent_parts, _sphere_descent, _state_ascent
+from krausblocks.linalg import DEFAULT_TOL
 
 from tests.util import random_density, random_hermitian, random_unit_vector, rotated_direct_sum
 
@@ -161,6 +162,15 @@ class TestExchangeMatrix:
         assert np.max(np.abs(want - want.T)) > 1e-2
         assert np.max(np.abs(exchange_matrix(ch, rho) - want)) < 1e-14
 
+    def test_batch_axis(self):
+        ch = random_unital_channel(3, 4, seed=8)
+        rng = np.random.default_rng(6)
+        rhos = np.array([random_density(3, rng) for _ in range(5)])
+        w = exchange_matrix(ch, rhos)
+        assert w.shape == (5, 4, 4)
+        for r in range(5):
+            assert np.max(np.abs(w[r] - exchange_matrix(ch, rhos[r]))) < 1e-14
+
 
 class TestAscentGradient:
     @pytest.mark.parametrize("include_input_entropy", [True, False])
@@ -180,6 +190,49 @@ class TestAscentGradient:
             minus, _ = _ascent_parts(ch, rho - eps * h, include_input_entropy)
             fd = (plus - minus) / (2 * eps)
             assert abs(np.real(np.trace(grad @ h)) - fd) < 1e-6
+
+
+class TestRestartIndependence:
+    # every restart of a batch must follow the path it takes alone: the same
+    # final value and the same number of accepted steps. The full-length runs
+    # have restarts that stop at different steps and leave the batch early;
+    # the truncated runs end mid-path, where the value depends on every step
+    # size taken.
+
+    @pytest.mark.parametrize("alpha", [1, 2])
+    @pytest.mark.parametrize("max_iters", [400, 6])
+    def test_sphere_descent(self, alpha, max_iters):
+        ch = random_unital_channel(3, 3, seed=0)
+        z = np.random.default_rng(6).standard_normal((8, 2, 3))
+        x0 = z[:, 0] + 1j * z[:, 1]
+        f, _, steps = _sphere_descent(ch, alpha, x0, max_iters=max_iters)
+        if max_iters == 400:
+            assert len(set(steps.tolist())) > 1 and steps.max() < max_iters
+        for r in range(len(x0)):
+            f_r, _, steps_r = _sphere_descent(ch, alpha, x0[r : r + 1], max_iters=max_iters)
+            assert abs(f_r[0] - f[r]) <= DEFAULT_TOL.optimizer
+            assert steps_r[0] == steps[r]
+
+    @pytest.mark.parametrize("include_input_entropy", [False, True])
+    @pytest.mark.parametrize("max_iters", [500, 3])
+    @pytest.mark.parametrize("identity", [False, True])
+    def test_state_ascent(self, include_input_entropy, max_iters, identity):
+        # on the identity channel the maximally mixed start certifies itself
+        # at once and some line searches halve the step below 1
+        ch = identity_channel(3) if identity else random_unital_channel(3, 3, seed=0)
+        rng = np.random.default_rng(2)
+        starts = np.array([np.eye(3) / 3] + [random_density(3, rng) for _ in range(8)])
+        gap_tol = DEFAULT_TOL.optimizer * 0.5
+        v, _, gap, steps = _state_ascent(ch, starts, include_input_entropy, gap_tol, max_iters)
+        if max_iters == 500:
+            assert len(set(steps.tolist())) > 1 and np.all(gap <= gap_tol)
+        for r in range(len(starts)):
+            v_r, _, gap_r, steps_r = _state_ascent(
+                ch, starts[r : r + 1], include_input_entropy, gap_tol, max_iters
+            )
+            assert abs(v_r[0] - v[r]) <= DEFAULT_TOL.optimizer
+            assert steps_r[0] == steps[r]
+            assert abs(gap_r[0] - gap[r]) <= DEFAULT_TOL.optimizer
 
 
 class TestEntAssistedCapacity:

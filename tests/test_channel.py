@@ -157,6 +157,18 @@ class TestStorage:
         sup = sum(np.kron(a.conj(), a) for a in ch.kraus)
         assert max_abs(ch.superoperator_matrix() - sup) < 1e-14
 
+    def test_apply_takes_batch_axes(self):
+        # a (2, 3, d, d) stack maps operator by operator, as single calls do
+        ch = random_unital_channel(3, 4, seed=8)
+        rng = np.random.default_rng(2)
+        s = rng.standard_normal((2, 3, 3, 3)) + 1j * rng.standard_normal((2, 3, 3, 3))
+        out = ch.apply(s)
+        assert out.shape == s.shape
+        for idx in np.ndindex(2, 3):
+            assert max_abs(out[idx] - ch.apply(s[idx])) < 1e-14
+        with pytest.raises(DimensionMismatch):
+            ch.apply(np.zeros((2, 3, 4, 4)))
+
 
 class TestSuperoperator:
     def test_identity(self):

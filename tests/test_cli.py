@@ -359,6 +359,16 @@ class TestCapacity:
         assert len(q["per_block"]) == 2
         assert q["combined_bits"] == pytest.approx(min(q["per_block"]))
 
+    def test_bound_labels(self, tmp_path):
+        # multi-start values bound the optimum from the side they search from;
+        # the ce value is left unlabelled
+        ch, _, _ = rotated_direct_sum((1, 2), seed=33)
+        path = write(tmp_path, "ch.json", dumps_report(channel_to_document(ch)))
+        for quantity, bound in (("smin", "upper"), ("coh", "lower"), ("ce", None)):
+            code, out, _ = run(["capacity", path, "--quantity", quantity, "--restarts", "4"])
+            assert code == 0
+            assert json.loads(out)["quantity"].get("bound") == bound
+
     def test_combine(self):
         code, out, _ = run(["capacity", "--quantity", "combine", "--values", "1.0", "1.0"])
         assert code == 0
@@ -423,6 +433,23 @@ class TestMeasurementValidation:
         code, out, _ = run(["check-measurement", depolarizing_doc, mpath])
         assert code == 1
         assert json.loads(out)["error"]["type"] == "InvalidMeasurement"
+
+
+class TestDimensionMismatch:
+    # documents that are each well formed but do not fit together are an
+    # argument error (exit 2), not a numerical failure (exit 3)
+    def test_measurement_on_smaller_channel(self, tmp_path, depolarizing_doc):
+        m = computational_measurement(3)
+        mpath = write(tmp_path, "m.json", dumps_report(measurement_to_document(m)))
+        code, out, _ = run(["check-measurement", depolarizing_doc, mpath])
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "DimensionMismatch"
+
+    def test_state_on_smaller_channel(self, tmp_path, depolarizing_doc):
+        spath = write(tmp_path, "rho.json", dumps_report(operator_to_document(np.eye(3) / 3)))
+        code, out, _ = run(["fixed-states", depolarizing_doc, "--state", spath])
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "DimensionMismatch"
 
 
 class TestReportFormat:
