@@ -22,6 +22,7 @@ All values are in bits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,8 +98,8 @@ def renyi_entropy(rho, alpha: float) -> float:
     unit mass so that trace error is not amplified by ``1/(1-alpha)`` near
     ``alpha = 1``.
     """
-    if alpha < 1:
-        raise InvalidAlpha(f"Renyi order must be >= 1, got {alpha}")
+    if not (math.isfinite(alpha) and alpha >= 1):
+        raise InvalidAlpha(f"Renyi order must be finite and >= 1, got {alpha}")
     h = density_matrix(rho)
     return max(0.0, float(_renyi_bits(np.linalg.eigvalsh(h), alpha)))
 
@@ -227,8 +228,8 @@ def min_output_renyi(
     deterministic for a fixed seed. The reported value is an upper bound on
     the true minimum.
     """
-    if alpha < 1:
-        raise InvalidAlpha(f"Renyi order must be >= 1, got {alpha}")
+    if not (math.isfinite(alpha) and alpha >= 1):
+        raise InvalidAlpha(f"Renyi order must be finite and >= 1, got {alpha}")
     if restarts < 1:
         raise InvalidParameter("restarts must be >= 1")
     z = np.random.default_rng(seed).standard_normal((restarts, 2, ch.dim))
@@ -422,6 +423,8 @@ def reduce_over_blocks(kind: str, per_block) -> float:
     values = [float(v) for v in per_block]
     if not values:
         raise EmptyBlockList("need at least one per-block value")
+    if not all(math.isfinite(v) for v in values):
+        raise InvalidParameter(f"per-block values must be finite, got {values}")
     if kind == "min_output_renyi":
         return min(values)
     if kind == "coherent_information":

@@ -34,7 +34,7 @@ from .errors import (
     ToleranceFailure,
     ValidationError,
 )
-from .fixed_points import BlockMixture, classify_fixed_state
+from .fixed_points import BlockMixture, classify_fixed_state, commutant_basis
 from .linalg import Tolerances
 from .measurement import (
     StructuralDecomposition,
@@ -221,8 +221,9 @@ def _cmd_restrict(args, tol):
 
 def _cmd_match(args, tol):
     ch, vdoc = _load_channel(args.channel, tol)
-    d1 = iris_decompose(ch, tol, seed=args.seeds[0])
-    d2 = iris_decompose(ch, tol, seed=args.seeds[1])
+    commutant = commutant_basis(ch, tol)
+    d1 = iris_decompose(ch, tol, seed=args.seeds[0], commutant=commutant)
+    d2 = iris_decompose(ch, tol, seed=args.seeds[1], commutant=commutant)
     matching = match_decompositions(d1, d2, tol)
     out = _report_head("match", tol)
     out["seeds"] = list(args.seeds)
@@ -363,11 +364,12 @@ def _cmd_capacity(args, tol):
     }
     # each block value is a best-effort multi-start optimum: an upper bound on
     # the minimal output entropy, which the min rule keeps, and a lower bound
-    # on the coherent information, which the max rule keeps
+    # on the coherent information, which the max rule keeps; the assisted
+    # capacity's ascent values and their log-sum both lie below C_E
     if kind == "min_output_renyi":
         qdoc["alpha"] = args.alpha
         qdoc["bound"] = "upper"
-    if kind == "coherent_information":
+    else:
         qdoc["bound"] = "lower"
     if kind != "ent_assisted_capacity":
         qdoc["restarts"] = args.restarts

@@ -3,9 +3,9 @@ restriction, and matching of two decompositions.
 
 A subspace is invariant exactly when the channel fixes its projector;
 equivalently all Kraus operators are block-diagonal with respect to it. The
-decomposition routine solves the commutant once, splits the space along
-eigenspaces of a random fixed operator and recurses with the commutant
-compressed onto each; a trivial compression certifies irreducibility.
+decomposition routine solves the commutant once and splits the space in one
+step along the eigenspaces of a random fixed operator, redrawn until the
+commutant compresses to the scalars (is irreducible) on every eigenspace.
 """
 
 from __future__ import annotations
@@ -62,8 +62,8 @@ class Subspace:
     def projector(self) -> np.ndarray:
         return self.basis @ self.basis.conj().T
 
-    def complement(self, tol: Tolerances = DEFAULT_TOL) -> "Subspace":
-        return Subspace(self.ambient_dim, orthonormal_complement(self.basis, self.ambient_dim, tol))
+    def complement(self) -> "Subspace":
+        return Subspace(self.ambient_dim, orthonormal_complement(self.basis, self.ambient_dim))
 
     @classmethod
     def span(cls, vectors) -> "Subspace":
@@ -182,63 +182,52 @@ def _block_sort_key(s: Subspace):
     return (s.dim, tuple(float(x) for pair in zip(lead.real, lead.imag) for x in pair))
 
 
-def _split(
-    basis: CommutantBasis,
-    lift: np.ndarray,
-    rng: np.random.Generator,
-    tol: Tolerances,
-    out: list[np.ndarray],
-) -> None:
-    """Recursively split the block with ambient basis ``lift`` and restricted
-    commutant ``basis`` into irreducible blocks, appending to ``out`` the
-    ambient basis of each block whose commutant count (its certificate) is 1."""
-    if basis.count == 1:
-        out.append(lift)
-        return
+_MAX_DRAWS = 8  # random fixed operators tried before a split fails
 
-    # a random real combination of the non-identity basis elements is
-    # non-scalar (scalars are orthogonal to them), so it has >= 2 eigenvalue
-    # clusters; retry guards against freak near-degenerate draws
-    for _ in range(8):
-        coeff = rng.standard_normal(basis.count - 1)
-        sigma = np.tensordot(coeff, basis.hermitian_basis[1:], axes=1)
-        nrm = max_abs(sigma)
-        if nrm < 1e-12:
-            continue
-        w, v = hermitian_eig(sigma / nrm, tol)
-        groups = cluster_eigenvalues(w, tol.eigencluster)
-        if len(groups) >= 2:
-            break
-    else:
-        raise ToleranceFailure(
-            "could not split a reducible block: random fixed operators kept a "
-            "single eigenvalue cluster at the configured eigencluster width"
-        )
 
-    for idx in groups:
-        sub = v[:, idx]
-        _split(basis.compress(sub), lift @ sub, rng, tol, out)
+def _split(commutant: CommutantBasis, rng: np.random.Generator, tol: Tolerances) -> list:
+    """Orthonormal bases of the irreducible blocks: the eigenspaces of one random
+    real combination of the non-identity commutant elements, redrawn while it
+    merges blocks (an eigenspace fails :meth:`CommutantBasis.is_scalar_on`)."""
+    if commutant.count == 1:
+        return [np.eye(commutant.dim, dtype=complex)]
+    for _ in range(_MAX_DRAWS):
+        coeff = rng.standard_normal(commutant.count - 1)
+        sigma = np.tensordot(coeff, commutant.hermitian_basis[1:], axes=1)
+        w, v = hermitian_eig(sigma / max_abs(sigma), tol)
+        bases = [v[:, idx] for idx in cluster_eigenvalues(w, tol.eigencluster)]
+        if all(commutant.is_scalar_on(b) for b in bases):
+            return bases
+    raise ToleranceFailure(
+        f"could not split a reducible space: {_MAX_DRAWS} random fixed operators each merged "
+        "blocks at the configured eigencluster width"
+    )
 
 
 def iris_decompose(
-    ch: KrausChannel, tol: Tolerances = DEFAULT_TOL, seed: int = 0
+    ch: KrausChannel,
+    tol: Tolerances = DEFAULT_TOL,
+    seed: int = 0,
+    commutant: CommutantBasis | None = None,
 ) -> IrisDecomposition:
     """Decompose the space into irreducible invariant blocks of the channel.
 
-    The commutant is solved once and compressed onto each eigenspace split
-    off. Every Kraus operator is simultaneously block-diagonal with respect to
-    the returned blocks (checked in the ambient space), each block's
-    compressed commutant is trivial, and the sorted dimension list is
+    The space is split once along the eigenspaces of a random element of the
+    channel's commutant, solved here unless ``commutant`` passes in that solve.
+    Every Kraus operator is simultaneously block-diagonal with respect to the
+    returned blocks (checked in the ambient space), the commutant compresses
+    to the scalars on each block, and the sorted dimension list is
     independent of ``seed`` and of the Kraus representation. Deterministic
     for a fixed seed.
 
     Blocks are ordered by dimension ascending, ties broken by the rounded
     leading basis vector.
     """
-    rng = np.random.default_rng(seed)
-    commutant = commutant_basis(ch, tol)
-    bases: list[np.ndarray] = []
-    _split(commutant, np.eye(ch.dim, dtype=complex), rng, tol, bases)
+    if commutant is None:
+        commutant = commutant_basis(ch, tol)
+    elif commutant.dim != ch.dim:
+        raise DimensionMismatch(f"commutant dim {commutant.dim} != channel dim {ch.dim}")
+    bases = _split(commutant, np.random.default_rng(seed), tol)
 
     blocks = sorted(
         (Subspace(ch.dim, _canonical_basis(b)) for b in bases), key=_block_sort_key

@@ -44,7 +44,7 @@ class InvalidParameter(KrausBlocksError):
 
 
 class InvalidAlpha(InvalidParameter):
-    """Renyi order below 1 is not supported."""
+    """Renyi order that is below 1 or not finite."""
 
 
 class InvalidMeasurement(KrausBlocksError):

@@ -24,6 +24,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from .decomposition import IrisDecomposition
 
 
+_NEGLIGIBLE_NORM = 1e-7  # Frobenius norm at or below which a remainder counts as zero
+
+
 @dataclass(frozen=True, eq=False)
 class CommutantBasis:
     """Orthonormal Hermitian basis of the fixed-point set.
@@ -40,14 +43,16 @@ class CommutantBasis:
     def count(self) -> int:
         return len(self.hermitian_basis)
 
-    def compress(self, basis) -> "CommutantBasis":
-        """Commutant of the channel restricted to the span of the orthonormal
-        columns B of ``basis``: the compression ``B^dagger A' B``, valid when
-        the span's projector lies in this algebra (e.g. any eigenspace of an
-        element)."""
+    def is_scalar_on(self, basis) -> bool:
+        """Irreducibility certificate of the span of the orthonormal columns B of
+        ``basis``, whose projector must lie in this algebra (e.g. an eigenspace
+        of an element): every ``B^dagger H B`` is a scalar, which is the
+        :func:`_orthonormalize` decision on them keeping only the identity."""
         b = as_matrix(basis)
-        compressed = b.conj().T @ self.hermitian_basis @ b
-        return CommutantBasis(b.shape[1], _orthonormalize(b.shape[1], compressed))
+        c = b.conj().T @ self.hermitian_basis @ b
+        scalars = np.trace(c, axis1=1, axis2=2)[:, None, None] / b.shape[1]
+        traceless = np.linalg.norm(c - scalars * np.eye(b.shape[1]), axis=(1, 2))
+        return bool(np.all(traceless <= _NEGLIGIBLE_NORM))
 
     def project(self, sigma) -> np.ndarray:
         """Orthogonal projection of a Hermitian operator onto the fixed set."""
@@ -109,7 +114,7 @@ def _orthonormalize(dim: int, candidates: np.ndarray) -> np.ndarray:
         for _ in range(2):  # reorthogonalize once for 1e-12-level orthogonality
             r = r - (basis[:count] @ r) @ basis[:count]
         norm = float(np.linalg.norm(r))
-        if norm > 1e-7:
+        if norm > _NEGLIGIBLE_NORM:
             basis[count] = r / norm
             count += 1
     return frozen(basis[:count].view(complex).reshape(count, dim, dim))

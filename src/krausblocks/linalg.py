@@ -7,6 +7,7 @@ function is pure and safe for concurrent use.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,8 +34,9 @@ class Tolerances:
 
     def __post_init__(self):
         for name in ("hermitian", "nullspace", "eigencluster", "residual", "optimizer"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"tolerance {name!r} must be strictly positive")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"tolerance {name!r} must be finite and strictly positive")
 
 
 DEFAULT_TOL = Tolerances()
@@ -99,10 +101,6 @@ def density_matrix(rho) -> np.ndarray:
     return h
 
 
-def is_hermitian(m: np.ndarray, tol: float) -> bool:
-    return m.shape[0] == m.shape[1] and max_abs(m - m.conj().T) <= tol
-
-
 def hermitian_eig(m, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 
@@ -140,14 +138,13 @@ def null_space(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     return vh.conj().T[:, keep]
 
 
-def orthonormal_complement(
-    basis, ambient_dim: int, tol: Tolerances = DEFAULT_TOL
-) -> np.ndarray:
+def orthonormal_complement(basis, ambient_dim: int) -> np.ndarray:
     """Orthonormal basis of the orthogonal complement of ``span(basis)``.
 
     ``basis`` holds orthonormal columns in a space of dimension
     ``ambient_dim``; the union of input and output columns is an
-    orthonormal basis of the whole space.
+    orthonormal basis of the whole space. The output is the trailing columns
+    of the complete QR factor of ``basis``.
     """
     b = np.asarray(basis, dtype=complex)
     if b.ndim == 1:
@@ -163,7 +160,7 @@ def orthonormal_complement(
     gram_dev = max_abs(b.conj().T @ b - np.eye(b.shape[1]))
     if gram_dev > 1e-10:
         raise NotOrthonormal(f"max |B^dagger B - I| = {gram_dev:.3e}")
-    return null_space(b.conj().T, tol)
+    return np.linalg.qr(b, mode="complete")[0][:, b.shape[1]:]
 
 
 def cluster_eigenvalues(values: np.ndarray, width: float) -> list[np.ndarray]:
@@ -185,7 +182,3 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     d = np.diagonal(r)
     return q * (d / np.abs(d))
 
-
-def trace_inner(a: np.ndarray, b: np.ndarray) -> complex:
-    """Hilbert-Schmidt inner product tr(A^dagger B)."""
-    return complex(np.sum(a.conj() * b))

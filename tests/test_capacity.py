@@ -24,6 +24,7 @@ from krausblocks.errors import (
     DimensionTooLarge,
     EmptyBlockList,
     InvalidAlpha,
+    InvalidParameter,
     NotADensityMatrix,
 )
 
@@ -86,8 +87,11 @@ class TestRenyiEntropy:
             assert s2 >= s5 - 1e-12
 
     def test_rejects(self):
-        with pytest.raises(InvalidAlpha):
-            renyi_entropy(np.eye(2) / 2, 0.5)
+        for alpha in (0.5, float("nan"), float("inf")):
+            with pytest.raises(InvalidAlpha):
+                renyi_entropy(np.eye(2) / 2, alpha)
+            with pytest.raises(InvalidAlpha):
+                min_output_renyi(identity_channel(2), alpha, restarts=1)
         with pytest.raises(NotADensityMatrix):
             renyi_entropy(np.eye(2), 2)
 
@@ -308,6 +312,11 @@ class TestReduction:
     def test_empty(self):
         with pytest.raises(EmptyBlockList):
             reduce_over_blocks("min_output_renyi", [])
+
+    def test_non_finite(self):
+        for value in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(InvalidParameter):
+                reduce_over_blocks("classical_capacity", [1.0, value])
 
     def test_min_output_reduction_on_blocks(self):
         for seed in (0, 1):

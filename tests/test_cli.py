@@ -188,7 +188,7 @@ class TestOneCommutantSolve:
         calls = count_calls(monkeypatch, fixed_points, "commutant_basis")
         code, _, _ = run(["match", path, "--seeds", "1", "2"])
         assert code == 0
-        assert len(calls) == 2
+        assert len(calls) == 1
 
     def test_degenerate_state_reuses_the_solve(self, tmp_path, monkeypatch):
         from krausblocks import identity_channel
@@ -240,6 +240,39 @@ class TestNumericalFailure:
         assert rep["command"] == "decompose"
         assert rep["error"] == {"type": error.__name__, "message": "stacked commutator SVD failed"}
         assert "Traceback" not in err
+
+
+def strict_json(text):
+    """Parse a report as standard JSON: NaN and Infinity tokens are rejected."""
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+class TestNonFiniteArguments:
+    @pytest.mark.parametrize(
+        "kind", [["dephasing"], ["random_unital", "--seed", "0"]], ids=lambda k: k[0]
+    )
+    def test_alpha_nan(self, tmp_path, kind):
+        code, doc, _ = run(["gen", "--kind", kind[0], "--dim", "3", *kind[1:]])
+        assert code == 0
+        path = write(tmp_path, "ch.json", doc)
+        code, out, err = run(["capacity", path, "--quantity", "smin", "--alpha", "nan"])
+        assert code == 2
+        assert strict_json(out)["error"]["type"] == "InvalidAlpha"
+        assert "Traceback" not in err
+
+    def test_combine_value_nan(self):
+        code, out, _ = run(["capacity", "--quantity", "combine", "--values", "1", "nan"])
+        assert code == 2
+        assert strict_json(out)["error"]["type"] == "InvalidParameter"
+
+    def test_tolerance_inf(self, depolarizing_doc):
+        code, out, _ = run(["decompose", depolarizing_doc, "--tol-residual", "inf"])
+        assert code == 2
+        assert strict_json(out)["error"]["type"] == "ValueError"
 
 
 class TestRestrict:
@@ -360,11 +393,10 @@ class TestCapacity:
         assert q["combined_bits"] == pytest.approx(min(q["per_block"]))
 
     def test_bound_labels(self, tmp_path):
-        # multi-start values bound the optimum from the side they search from;
-        # the ce value is left unlabelled
+        # optimized values bound the optimum from the side they search from
         ch, _, _ = rotated_direct_sum((1, 2), seed=33)
         path = write(tmp_path, "ch.json", dumps_report(channel_to_document(ch)))
-        for quantity, bound in (("smin", "upper"), ("coh", "lower"), ("ce", None)):
+        for quantity, bound in (("smin", "upper"), ("coh", "lower"), ("ce", "lower")):
             code, out, _ = run(["capacity", path, "--quantity", quantity, "--restarts", "4"])
             assert code == 0
             assert json.loads(out)["quantity"].get("bound") == bound

@@ -20,13 +20,15 @@ from krausblocks import (
     validate_kraus,
 )
 from krausblocks.errors import (
+    DimensionMismatch,
     MultisetMismatch,
     NotInvariant,
     NotOrthonormal,
     ToleranceFailure,
 )
 from krausblocks import fixed_points
-from krausblocks.linalg import max_abs
+from krausblocks.decomposition import _split
+from krausblocks.linalg import DEFAULT_TOL, max_abs
 
 from tests.util import (
     count_calls,
@@ -171,8 +173,9 @@ class TestDecompose:
         assert iris_decompose(ch.remix(u), seed=0).dimension_multiset() == ref
 
     def test_isomorphic_copies_split(self):
-        # two identical irreducible blocks: the commutant is 4-dimensional but
-        # the recursion still lands on two blocks of the right size
+        # two identical irreducible blocks: the commutant is 4-dimensional
+        # (M_2 tensor I_2), and one split of a random element of it lands on
+        # two blocks of the right size
         base = depolarizing_channel(2, 0.7)
         ops = []
         for a in base.kraus:
@@ -214,6 +217,63 @@ class TestDecompose:
                 iris_decompose(ch)
         else:
             assert iris_decompose(ch).dimension_multiset() == dims
+
+
+class ScriptedDraws:
+    """Random generator stand-in for ``_split``: returns the scripted
+    coefficient draws first, then those of a seeded generator, and counts
+    every draw."""
+
+    def __init__(self, draws, seed=0):
+        self.draws = list(draws)
+        self.rng = np.random.default_rng(seed)
+        self.calls = 0
+
+    def standard_normal(self, n):
+        self.calls += 1
+        return self.draws.pop(0) if self.draws else self.rng.standard_normal(n)
+
+
+def merging_draw(commutant, projectors, a, b):
+    """Coefficients over the two non-identity elements of a 3-block commutant
+    whose combination has the same eigenvalue on blocks ``a`` and ``b``."""
+    h = commutant.hermitian_basis[1:]
+    assert len(h) == 2
+    eig = [np.real(np.einsum("kij,ji->k", h, p)) / np.trace(p).real for p in projectors]
+    diff = eig[a] - eig[b]
+    return np.array([-diff[1], diff[0]]) / np.linalg.norm(diff)
+
+
+class TestOneSplit:
+    def setup_method(self):
+        self.ch, _, self.projectors = rotated_direct_sum((1, 2, 3), seed=21)
+        self.commutant = commutant_basis(self.ch)
+
+    def test_merging_draw_is_redrawn(self):
+        rng = ScriptedDraws([merging_draw(self.commutant, self.projectors, 1, 2)])
+        bases = _split(self.commutant, rng, DEFAULT_TOL)
+        assert rng.calls == 2
+        assert sorted(b.shape[1] for b in bases) == [1, 2, 3]
+        for b, p in zip(sorted(bases, key=lambda b: b.shape[1]), self.projectors):
+            assert max_abs(b @ b.conj().T - p) < 1e-9
+
+    def test_every_draw_merging_fails(self):
+        c = merging_draw(self.commutant, self.projectors, 1, 2)
+        rng = ScriptedDraws([c] * 8)
+        with pytest.raises(ToleranceFailure):
+            _split(self.commutant, rng, DEFAULT_TOL)
+        assert rng.calls == 8
+
+    def test_given_commutant_is_used(self, monkeypatch):
+        calls = count_calls(monkeypatch, fixed_points, "commutant_basis")
+        dec = iris_decompose(self.ch, seed=3, commutant=self.commutant)
+        assert calls == [] and dec.commutant is self.commutant
+        for a, b in zip(dec.blocks, iris_decompose(self.ch, seed=3).blocks):
+            assert max_abs(a.basis - b.basis) == 0.0
+
+    def test_commutant_of_another_dimension(self):
+        with pytest.raises(DimensionMismatch):
+            iris_decompose(identity_channel(3), commutant=commutant_basis(identity_channel(2)))
 
 
 class TestRestrict:

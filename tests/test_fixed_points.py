@@ -27,6 +27,7 @@ from tests.util import (
     fixed_hermitian_basis_oracle,
     random_density,
     random_hermitian,
+    rotated_direct_sum,
     span_projector,
 )
 
@@ -39,13 +40,22 @@ def block_channel_2_3() -> KrausChannel:
 
 class TestCommutantBasis:
     def test_basis_is_a_read_only_stack(self):
-        cb = commutant_basis(block_channel_2_3())
-        for basis, dim in ((cb.hermitian_basis, 5), (cb.compress(np.eye(5)[:, :2]).hermitian_basis, 2)):
-            assert isinstance(basis, np.ndarray)
-            assert basis.shape[1:] == (dim, dim) and basis.dtype == complex
-            assert not basis.flags.writeable
-            with pytest.raises(ValueError):
-                basis[0, 0, 0] = 1.0
+        basis = commutant_basis(block_channel_2_3()).hermitian_basis
+        assert isinstance(basis, np.ndarray)
+        assert basis.shape[1:] == (5, 5) and basis.dtype == complex
+        assert not basis.flags.writeable
+        with pytest.raises(ValueError):
+            basis[0, 0, 0] = 1.0
+
+    def test_scalar_certificate(self):
+        ch, _, projectors = rotated_direct_sum((1, 2, 3), seed=21)
+        cb = commutant_basis(ch)
+
+        def range_of(p):
+            return np.linalg.eigh(p)[1][:, -round(np.trace(p).real):]
+
+        assert all(cb.is_scalar_on(range_of(p)) for p in projectors)
+        assert not cb.is_scalar_on(range_of(projectors[0] + projectors[2]))
 
     def test_commutation_stack_matches_kron_blocks(self):
         ch = random_unital_channel(3, 4, seed=8)

@@ -26,10 +26,9 @@ class TestTolerances:
 
     @pytest.mark.parametrize("field", ["hermitian", "nullspace", "eigencluster", "residual", "optimizer"])
     def test_strictly_positive(self, field):
-        with pytest.raises(ValueError):
-            Tolerances(**{field: 0.0})
-        with pytest.raises(ValueError):
-            Tolerances(**{field: -1e-3})
+        for value in (0.0, -1e-3, float("inf"), float("nan")):
+            with pytest.raises(ValueError):
+                Tolerances(**{field: value})
 
 
 class TestHermitianEig:
