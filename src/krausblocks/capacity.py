@@ -90,6 +90,12 @@ def _renyi_bits(eigs: np.ndarray, alpha: float):
     return np.log2(np.sum(lam**alpha, axis=-1)) / (1.0 - alpha)
 
 
+def require_renyi_order(alpha: float) -> None:
+    """Raise InvalidAlpha unless ``alpha`` is a finite Renyi order ``>= 1``."""
+    if not (math.isfinite(alpha) and alpha >= 1):
+        raise InvalidAlpha(f"Renyi order must be finite and >= 1, got {alpha}")
+
+
 def renyi_entropy(rho, alpha: float) -> float:
     """Renyi-``alpha`` entropy of a density matrix, in bits.
 
@@ -98,8 +104,7 @@ def renyi_entropy(rho, alpha: float) -> float:
     unit mass so that trace error is not amplified by ``1/(1-alpha)`` near
     ``alpha = 1``.
     """
-    if not (math.isfinite(alpha) and alpha >= 1):
-        raise InvalidAlpha(f"Renyi order must be finite and >= 1, got {alpha}")
+    require_renyi_order(alpha)
     h = density_matrix(rho)
     return max(0.0, float(_renyi_bits(np.linalg.eigvalsh(h), alpha)))
 
@@ -228,8 +233,7 @@ def min_output_renyi(
     deterministic for a fixed seed. The reported value is an upper bound on
     the true minimum.
     """
-    if not (math.isfinite(alpha) and alpha >= 1):
-        raise InvalidAlpha(f"Renyi order must be finite and >= 1, got {alpha}")
+    require_renyi_order(alpha)
     if restarts < 1:
         raise InvalidParameter("restarts must be >= 1")
     z = np.random.default_rng(seed).standard_normal((restarts, 2, ch.dim))

@@ -19,6 +19,7 @@ from .capacity import (
     ent_assisted_capacity,
     min_output_renyi,
     reduce_over_blocks,
+    require_renyi_order,
 )
 from .channel import KrausChannel, standard_channel, validate_kraus
 from .decomposition import IrisDecomposition, iris_decompose, match_decompositions, restrict
@@ -337,6 +338,8 @@ def _cmd_capacity(args, tol):
 
     if not args.channel:
         raise InvalidParameter("this quantity needs a channel document")
+    if args.quantity == "smin":
+        require_renyi_order(args.alpha)  # rejected before the commutant solve
     ch, vdoc = _load_channel(args.channel, tol)
     dec = iris_decompose(ch, tol, seed=args.seed)
     out["seed"] = args.seed

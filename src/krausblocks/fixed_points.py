@@ -2,9 +2,12 @@
 
 For a unital trace-preserving map, an operator is fixed exactly when it
 commutes with every Kraus operator, so the fixed set is computed as the
-null space of the stacked commutation superoperators. That system is better
-conditioned than the null space of (superoperator - identity), which is
-kept as a cross-check oracle in the tests.
+common kernel of the commutators ``X -> A_i X - X A_i``. Candidates come from
+one ``eigh`` of their ``d^2 x d^2`` Gram matrix; the kernel is then decided on
+the singular values of the commutators themselves, not on their squares, so
+the verdict is the one the stacked commutation system gives. That system is
+better conditioned than the null space of (superoperator - identity), which
+is kept as a cross-check oracle in the tests.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import numpy as np
 
 from .channel import KrausChannel
 from .errors import DimensionMismatch, NotFixed, NotNormalized, ToleranceFailure
-from .linalg import DEFAULT_TOL, Tolerances, as_matrix, density_matrix, frozen, max_abs, null_space
+from .linalg import DEFAULT_TOL, Tolerances, as_matrix, density_matrix, frozen, max_abs
 
 # avoids a circular import; IrisDecomposition is only used for annotations
 from typing import TYPE_CHECKING
@@ -61,29 +64,76 @@ class CommutantBasis:
         return np.tensordot(coeff, h, axes=1)
 
 
-def _commutation_stack(ch: KrausChannel) -> np.ndarray:
-    """Rows of ``vec(A_i s - s A_i) = (I kron A_i - A_i^T kron I) vec(s)``,
-    written in place at row ``(i, p, r)``, column ``(q, t)``: ``A_i[r, t]`` where
-    ``p = q``, minus ``A_i[q, p]`` where ``r = t``. No other large array."""
-    a = ch.kraus
-    k, d = a.shape[0], ch.dim
-    stack = np.zeros((k, d, d, d, d), dtype=complex)
-    for p in range(d):  # slices are views: all k operators at once, no temporaries
-        stack[:, p, :, p, :] += a
-        stack[:, :, p, :, p] -= a.transpose(0, 2, 1)
-    return stack.reshape(k * d * d, d * d)
+def _commutant_gram(a: np.ndarray, t: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``G = sum_i C_i^dagger C_i`` for ``C_i = I kron A_i - A_i^T kron I``, the
+    ``d^2 x d^2`` Gram matrix whose kernel is the column-stacked commutant:
+    ``I kron T + conj(U) kron I - S - S^dagger`` with ``T = sum A_i^dagger A_i``,
+    ``U = sum A_i A_i^dagger`` and ``S = sum conj(A_i) kron A_i``. T and U are
+    not taken as I: validation allows ``tol.residual`` of non-unitality."""
+    k, d = a.shape[0], a.shape[1]
+    flat = a.reshape(k, d * d)
+    # (conj(A) kron A)[(p, r), (q, t)] = conj(A[p, q]) A[r, t]: one GEMM over i
+    s = (flat.conj().T @ flat).reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    g = s.conj().T.copy()
+    g += s
+    g *= -1.0
+    g4 = g.reshape(d, d, d, d)
+    for p in range(d):  # slices are views: the Kronecker terms added in place
+        g4[p, :, p, :] += t
+        g4[:, p, :, p] += u.conj()
+    return g
+
+
+def _commutant_kernel(a: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """Orthonormal columns spanning ``{vec(X) : A_i X = X A_i for all i}``
+    (column-stacked), with the verdict ``linalg.null_space`` gives on the
+    stacked commutators ``C_i``, at no more than ``d^4`` entries per array.
+
+    Candidates: eigenvectors of ``G = sum C_i^dagger C_i`` with eigenvalue at
+    most ``sqrt(tol.nullspace) * max(lambda_max, |T| + |U|)``. ``|T| + |U|``
+    is the rounding floor, the size of the terms that cancel in G, so a G
+    that vanishes up to rounding keeps its whole space; the square root keeps
+    every left-out direction far enough above the kernel that ``eigh``'s
+    rounding tilts the candidates by about ``eps / sqrt(tol.nullspace)``.
+    Decision: the candidates' commutators, formed a few Kraus operators at a
+    time and folded into the R factor of one QR, have the singular values of
+    the full stack, unsquared; those at most ``tol.nullspace * sqrt(lambda_max)``
+    give the kernel, as the candidates rotated by R's right singular vectors.
+    """
+    k, d = a.shape[0], a.shape[1]
+    t = np.einsum("kji,kjl->il", a.conj(), a)
+    u = np.einsum("kij,klj->il", a, a.conj())
+    w, v = np.linalg.eigh(_commutant_gram(a, t, u))
+    lam_max = max(float(w[-1]), 0.0)
+    floor = float(np.sum(np.linalg.eigvalsh(np.stack([t, u]))[:, -1]))
+    v = v[:, w <= np.sqrt(tol.nullspace) * max(lam_max, floor)]
+    n = v.shape[1]
+    if n == 0:
+        return v
+    x = v.T.reshape(n, d, d).transpose(0, 2, 1)  # unvec, column-stacked
+    chunk = max(1, d * d // n)  # chunk * n * d^2 <= d^4 entries per image
+    r = np.zeros((0, n), dtype=complex)
+    for i in range(0, k, chunk):
+        ops = a[i : i + chunk, None]
+        image = (ops @ x - x @ ops).transpose(0, 2, 3, 1).reshape(-1, n)
+        r = np.linalg.qr(np.concatenate([r, image]), mode="r")
+    _, sigma, vh = np.linalg.svd(r)
+    keep = sigma <= tol.nullspace * np.sqrt(lam_max)
+    return v @ vh.conj().T[:, keep]
 
 
 def commutant_basis(ch: KrausChannel, tol: Tolerances = DEFAULT_TOL) -> CommutantBasis:
     """Solve ``A_i s = s A_i`` for all i and return a Hermitian basis.
 
-    The complex solution space is intersected with the Hermitian matrices by
-    splitting each element B into ``(B + B^dagger)/2`` and
-    ``(B - B^dagger)/(2i)``, then trace-orthonormalizing with the normalized
-    identity pinned as the first basis element.
+    The complex solution space (:func:`_commutant_kernel`) costs ``O(d^6)``
+    time and ``O(d^4)`` memory whatever the Kraus rank. It is intersected
+    with the Hermitian matrices by splitting each element B into
+    ``(B + B^dagger)/2`` and ``(B - B^dagger)/(2i)``, then
+    trace-orthonormalizing with the normalized identity pinned as the first
+    basis element.
     """
     d = ch.dim
-    kernel = null_space(_commutation_stack(ch), tol)
+    kernel = _commutant_kernel(ch.kraus, tol)
     n_complex = kernel.shape[1]
 
     # unvec of every kernel column (column-stacked), then its Hermitian and
@@ -107,7 +157,8 @@ def _orthonormalize(dim: int, candidates: np.ndarray) -> np.ndarray:
     the reals: Hermitian matrices form a real vector space, in which
     ``Re tr(H^dagger R)`` is the dot product of the float views."""
     pinned = np.eye(dim, dtype=complex)[None] / np.sqrt(dim)
-    vectors = np.concatenate([pinned, candidates]).reshape(-1, dim * dim).view(float)
+    vectors = np.ascontiguousarray(np.concatenate([pinned, candidates]).reshape(-1, dim * dim))
+    vectors = vectors.view(float)
     basis = np.empty_like(vectors)
     count = 0
     for r in vectors:

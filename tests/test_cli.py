@@ -231,14 +231,14 @@ class TestNumericalFailure:
         from krausblocks import fixed_points
 
         def fail(*args, **kwargs):
-            raise error("stacked commutator SVD failed")
+            raise error("commutant solve failed")
 
-        monkeypatch.setattr(fixed_points, "null_space", fail)
+        monkeypatch.setattr(fixed_points, "_commutant_kernel", fail)
         code, out, err = run(["decompose", depolarizing_doc])
         assert code == 3
         rep = json.loads(out)
         assert rep["command"] == "decompose"
-        assert rep["error"] == {"type": error.__name__, "message": "stacked commutator SVD failed"}
+        assert rep["error"] == {"type": error.__name__, "message": "commutant solve failed"}
         assert "Traceback" not in err
 
 
@@ -263,6 +263,16 @@ class TestNonFiniteArguments:
         assert code == 2
         assert strict_json(out)["error"]["type"] == "InvalidAlpha"
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("alpha", ["0.5", "inf"])
+    def test_invalid_alpha_rejected_before_solve(self, tmp_path, monkeypatch, alpha):
+        code, doc, _ = run(["gen", "--kind", "random_unital", "--dim", "4", "--seed", "0"])
+        path = write(tmp_path, "ch.json", doc)
+        calls = count_calls(monkeypatch, fixed_points, "commutant_basis")
+        code, out, _ = run(["capacity", path, "--quantity", "smin", "--alpha", alpha])
+        assert code == 2
+        assert strict_json(out)["error"]["type"] == "InvalidAlpha"
+        assert len(calls) == 0
 
     def test_combine_value_nan(self):
         code, out, _ = run(["capacity", "--quantity", "combine", "--values", "1", "nan"])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,13 +19,15 @@ from krausblocks import (
     haar_unitary,
     is_fixed,
     random_unital_channel,
+    restrict,
     unitary_channel,
 )
 from krausblocks.errors import NotADensityMatrix, NotFixed, NotNormalized
-from krausblocks.fixed_points import _commutation_stack
-from krausblocks.linalg import max_abs
+from krausblocks.fixed_points import _commutant_gram, _commutant_kernel
+from krausblocks.linalg import DEFAULT_TOL, max_abs, null_space
 
 from tests.util import (
+    coupled_blocks,
     fixed_hermitian_basis_oracle,
     random_density,
     random_hermitian,
@@ -36,6 +40,36 @@ X = np.array([[0, 1], [1, 0]], dtype=complex)
 
 def block_channel_2_3() -> KrausChannel:
     return direct_sum(depolarizing_channel(2, 0.5), depolarizing_channel(3, 0.5))
+
+
+def commutator_stack(ch: KrausChannel) -> np.ndarray:
+    """The ``k d^2 x d^2`` stack of ``I kron A_i - A_i^T kron I``, from Kronecker
+    products: the system whose null space is the column-stacked commutant."""
+    eye = np.eye(ch.dim)
+    return np.vstack([np.kron(eye, a) - np.kron(a.T, eye) for a in ch.kraus])
+
+
+def restrict_to_ray() -> KrausChannel:
+    """The channel restricted to the 1-dimensional block of a rotated sum."""
+    ch, u, _ = rotated_direct_sum((1, 2), seed=31)
+    return restrict(ch, Subspace(3, u[:, :1]))
+
+
+def scalar_mixture(dim: int, seed: int = 4) -> KrausChannel:
+    """The identity channel written with Kraus operators ``c_i I`` for 7 random
+    complex weights: its commutator Gram matrix vanishes only up to rounding."""
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal(7) + 1j * rng.standard_normal(7)
+    return KrausChannel.from_kraus([z * np.eye(dim) for z in c / np.linalg.norm(c)])
+
+
+KERNEL_CASES = {
+    **{f"identity{d}": (lambda d=d: identity_channel(d)) for d in range(1, 6)},
+    **{f"scalars{d}": (lambda d=d: scalar_mixture(d)) for d in range(1, 5)},
+    "ray": restrict_to_ray,
+    "depolarizing4": lambda: depolarizing_channel(4, 0.5),
+    **{f"coupled1e-{n}": (lambda n=n: coupled_blocks(10.0**-n)) for n in range(2, 12)},
+}
 
 
 class TestCommutantBasis:
@@ -57,11 +91,44 @@ class TestCommutantBasis:
         assert all(cb.is_scalar_on(range_of(p)) for p in projectors)
         assert not cb.is_scalar_on(range_of(projectors[0] + projectors[2]))
 
-    def test_commutation_stack_matches_kron_blocks(self):
-        ch = random_unital_channel(3, 4, seed=8)
-        eye = np.eye(3)
-        blocks = [np.kron(eye, a) - np.kron(a.T, eye) for a in ch.kraus]
-        assert max_abs(_commutation_stack(ch) - np.vstack(blocks)) == 0.0
+    def test_gram_matches_stacked_commutators(self):
+        # off unital and trace preserving by about 1e-10, as validation allows:
+        # G must keep T and U as computed, not assume 2I - L - L^dagger
+        base = random_unital_channel(3, 4, seed=8)
+        ch = KrausChannel(3, base.kraus * (1 + 1e-10 * np.arange(1, 5))[:, None, None])
+        t = sum(a.conj().T @ a for a in ch.kraus)
+        u = sum(a @ a.conj().T for a in ch.kraus)
+        assert max_abs(t - np.eye(3)) > 5e-11 and max_abs(u - np.eye(3)) > 5e-11
+        stack = commutator_stack(ch)
+        assert max_abs(_commutant_gram(ch.kraus, t, u) - stack.conj().T @ stack) <= 1e-12
+
+    @pytest.mark.parametrize("name", KERNEL_CASES)
+    def test_kernel_matches_stacked_null_space(self, name):
+        ch = KERNEL_CASES[name]()
+        stack = commutator_stack(ch)
+        oracle = null_space(stack, DEFAULT_TOL)
+        sigma = np.zeros(stack.shape[1])
+        s = np.linalg.svd(stack, compute_uv=False)
+        sigma[: s.size] = s
+        cutoff = DEFAULT_TOL.nullspace * sigma[0]
+        # the oracle's verdict is only sharp when no singular value lies
+        # within a factor 2 of its cutoff
+        if np.any((sigma > cutoff / 2) & (sigma < 2 * cutoff)):
+            pytest.skip("a singular value is within 2x of the cutoff")
+        kernel = _commutant_kernel(ch.kraus, DEFAULT_TOL)
+        assert kernel.shape[1] == oracle.shape[1]
+        assert max_abs(kernel @ kernel.conj().T - oracle @ oracle.conj().T) <= 1e-10
+
+    def test_memory_stays_order_d4(self):
+        # the k d^2 x d^2 commutator stack of this channel alone is 268 MB
+        ch = depolarizing_channel(16, 0.5)
+        tracemalloc.start()
+        try:
+            commutant_basis(ch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
 
     def test_identity_channel_full_space(self):
         cb = commutant_basis(identity_channel(2))

@@ -1,4 +1,5 @@
-"""Golden corpus: block dimensions and block projectors of ``iris_decompose``.
+"""Golden corpus: block dimensions and block projectors of ``iris_decompose``,
+and the commutant projector of ``commutant_basis``.
 
 The recorded values guard refactors of the decomposition: every case must
 reproduce its block dimensions exactly and its block projectors to 1e-10.
@@ -6,13 +7,22 @@ Degenerate cases (identity, dephasing, isomorphic copies) are included on
 purpose, since their blocks depend on the random fixed operators drawn
 during the split and so expose any change in the draws.
 
+The commutant projector is the orthogonal projector onto the span of the
+vectorized commutant, ``sum_j vec(H_j) vec(H_j)^dagger`` over the
+orthonormal Hermitian basis. It does not depend on the basis, so it guards
+the commutant solve to 1e-10 even in the degenerate cases, where the split
+into isomorphic copies is not unique.
+
 Regenerate (only when a behaviour change is intended) with
-``PYTHONPATH=src python -m tests.test_golden``.
+``PYTHONPATH=src python -m tests.test_golden``, or re-record only the blocks
+of some cases with ``PYTHONPATH=src python -m tests.test_golden CASE ...``
+(their commutant projectors and all other cases stay as recorded).
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +30,7 @@ import pytest
 
 from krausblocks import (
     KrausChannel,
+    commutant_basis,
     dephasing_channel,
     depolarizing_channel,
     haar_unitary,
@@ -63,17 +74,33 @@ def _decompose(name: str):
     return iris_decompose(CASES[name](), seed=DECOMPOSE_SEED)
 
 
-def record() -> None:
-    """Write the golden file from the current implementation."""
-    doc = {}
-    for name in CASES:
+def _commutant_projector(name: str) -> np.ndarray:
+    h = commutant_basis(CASES[name]()).hermitian_basis
+    v = h.reshape(len(h), -1).T
+    return v @ v.conj().T
+
+
+def _wire(m: np.ndarray) -> dict:
+    return {"re": m.real.tolist(), "im": m.imag.tolist()}
+
+
+def _unwire(doc: dict) -> np.ndarray:
+    return np.array(doc["re"]) + 1j * np.array(doc["im"])
+
+
+def record(names=None) -> None:
+    """Write the golden file from the current implementation. With ``names``,
+    re-record only the blocks of those cases: their commutant projector, which
+    is unique, and every other case keep their recorded values."""
+    doc = json.loads(GOLDEN_PATH.read_text()) if names else {}
+    for name in names or CASES:
         dec = _decompose(name)
         doc[name] = {
             "block_dims": list(dec.block_dims),
-            "projectors": [
-                {"re": s.projector().real.tolist(), "im": s.projector().imag.tolist()}
-                for s in dec.blocks
-            ],
+            "projectors": [_wire(s.projector()) for s in dec.blocks],
+            "commutant_projector": (
+                doc[name]["commutant_projector"] if names else _wire(_commutant_projector(name))
+            ),
         }
     GOLDEN_PATH.write_text(json.dumps(doc, indent=1) + "\n")
 
@@ -93,9 +120,17 @@ def test_decomposition_matches_golden(golden, name):
     want = golden[name]
     assert list(dec.block_dims) == want["block_dims"]
     for s, p in zip(dec.blocks, want["projectors"]):
-        ref = np.array(p["re"]) + 1j * np.array(p["im"])
-        assert np.max(np.abs(s.projector() - ref)) <= 1e-10
+        assert np.max(np.abs(s.projector() - _unwire(p))) <= 1e-10
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_commutant_matches_golden(golden, name):
+    ref = _unwire(golden[name]["commutant_projector"])
+    assert np.max(np.abs(_commutant_projector(name) - ref)) <= 1e-10
 
 
 if __name__ == "__main__":
-    record()
+    unknown = sorted(set(sys.argv[1:]) - set(CASES))
+    if unknown:
+        sys.exit(f"unknown case(s): {', '.join(unknown)}")
+    record(sys.argv[1:])
