@@ -82,7 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("match", help="match two decompositions of the same channel")
     p.add_argument("channel")
-    p.add_argument("--seeds", type=int, nargs=2, default=[0, 1], metavar=("A", "B"))
+    # a tuple: the parser is shared by every call, so its defaults stay immutable
+    p.add_argument("--seeds", type=int, nargs=2, default=(0, 1), metavar=("A", "B"))
     add_common(p, seed=False)
 
     p = sub.add_parser("fixed-states", help="fixed-point structure; classify a state")
@@ -116,6 +117,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once: parsing leaves the parser unchanged, so every call can share it
+_PARSER = build_parser()
+
+
 def _tol(args) -> Tolerances:
     return Tolerances(
         residual=args.tol_residual,
@@ -141,11 +146,11 @@ def _validation_doc(report) -> dict:
 
 
 def _load_channel(path: str, tol: Tolerances) -> tuple[KrausChannel, dict]:
-    dim, ops = parse_channel_ops(_read(path))
-    report = validate_kraus(ops, tol)
+    dim, kraus = parse_channel_ops(_read(path))
+    report = validate_kraus(kraus, tol)
     if not (report.is_trace_preserving and report.is_unital):
         raise ValidationError("channel is not unital trace-preserving", report=report)
-    return KrausChannel(dim=dim, kraus=ops), _validation_doc(report)
+    return KrausChannel(dim=dim, kraus=kraus), _validation_doc(report)
 
 
 def _subspace_doc(s) -> dict:
@@ -174,15 +179,15 @@ def _report_head(command: str, tol: Tolerances) -> dict:
 
 
 def _cmd_validate(args, tol):
-    _, ops = parse_channel_ops(_read(args.channel))
-    report = validate_kraus(ops, tol)
+    dim, kraus = parse_channel_ops(_read(args.channel))
+    report = validate_kraus(kraus, tol)
     out = _report_head("validate", tol)
-    out["dim"] = ops[0].shape[0]
-    out["n_kraus"] = len(ops)
+    out["dim"] = dim
+    out["n_kraus"] = len(kraus)
     out["validation"] = _validation_doc(report)
     ok = report.is_trace_preserving and report.is_unital
     human = [
-        f"dim={ops[0].shape[0]} kraus={len(ops)} "
+        f"dim={dim} kraus={len(kraus)} "
         f"trace_preserving={report.is_trace_preserving} unital={report.is_unital}"
     ]
     return out, human, 0 if ok else 1
@@ -434,9 +439,8 @@ def _error_report(command: str, exc: Exception, extra: dict | None = None) -> di
 
 def run_command(argv) -> int:
     """Run one CLI invocation; returns the process exit code."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     command = args.command

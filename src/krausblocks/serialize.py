@@ -1,15 +1,24 @@
 """JSON interchange formats and the deterministic report emitter.
 
 Complex numbers are two-element ``[re, im]`` arrays; matrices are flat
-row-major lists of those pairs with the shape implied by ``dim``. Reports are
-emitted with a fixed field order and every float printed with 17 significant
-digits, so identical inputs produce byte-identical output and every value
-round-trips exactly.
+row-major lists of those pairs with the shape implied by ``dim``. Every entry
+must be a finite JSON number (integers included); a non-finite or
+out-of-range entry is a ``ParseError`` with the entry's path.
+
+A list of wire matrices is checked and converted as one array: the checks are
+C-level passes over the whole list, and only when one fails is the list
+walked entry by entry to name the first offending entry in document order.
+Reports are emitted with a fixed field order and every float printed with 17
+significant digits, so identical inputs produce byte-identical output and
+every value round-trips exactly, except the sign of a zero: ``-0.0`` prints
+as ``-0``, which JSON reads as the integer 0.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from itertools import chain, starmap
 
 import numpy as np
 
@@ -27,25 +36,71 @@ SCHEMA_VERSION = "1"
 
 
 def matrix_to_wire(m: np.ndarray) -> list:
-    a = np.asarray(m, dtype=complex)
-    return [[float(z.real), float(z.imag)] for z in a.reshape(-1)]  # row-major
+    a = np.ascontiguousarray(m, dtype=complex)  # row-major
+    return a.view(float).reshape(-1, 2).tolist()
+
+
+def _all_of(kind, items) -> bool:
+    """Whether every item is an instance of ``kind``, tested once per type."""
+    return all(issubclass(t, kind) for t in set(map(type, items)))
+
+
+def _all_numbers(items) -> bool:
+    """Whether every item is an int or a float; JSON ``true``/``false`` are not."""
+    types = set(map(type, items))
+    return bool not in types and all(issubclass(t, (int, float)) for t in types)
+
+
+def _entry_error(data, n: int, path: str) -> ParseError | None:
+    """The error for the first bad entry of one wire matrix, in document order."""
+    if not isinstance(data, list):
+        return ParseError("matrix must be a list of [re, im] pairs", path)
+    if len(data) != n:
+        return ParseError(f"expected {n} entries, got {len(data)}", path)
+    for k, pair in enumerate(data):
+        if not (isinstance(pair, list) and len(pair) == 2 and _all_numbers(pair)):
+            return ParseError("entry must be a [re, im] pair of numbers", f"{path}[{k}]")
+        try:
+            finite = math.isfinite(pair[0]) and math.isfinite(pair[1])
+        except OverflowError:  # an integer beyond the float range
+            finite = False
+        if not finite:
+            return ParseError("entry must be a [re, im] pair of finite numbers", f"{path}[{k}]")
+    return None
+
+
+def _wire_stack(mats: list, n: int, paths) -> np.ndarray:
+    """Convert wire matrices of ``n`` entries each into one ``(len(mats), n)``
+    complex array; ``paths`` names each matrix for the error of a bad one."""
+    pairs = chain.from_iterable
+    flat = None
+    if (
+        _all_of(list, mats)
+        and set(map(len, mats)) == {n}
+        and _all_of(list, pairs(mats))
+        and set(map(len, pairs(mats))) == {2}
+        and _all_numbers(pairs(pairs(mats)))
+    ):
+        try:
+            flat = np.fromiter(pairs(pairs(mats)), float, 2 * n * len(mats))
+        except OverflowError:
+            pass
+    if flat is not None and np.isfinite(flat).all():
+        return flat.view(complex).reshape(len(mats), n)
+    for data, path in zip(mats, paths):
+        if (error := _entry_error(data, n, path)) is not None:
+            raise error
+    raise AssertionError("a wire check failed but no entry is bad")
 
 
 def wire_to_matrix(data, rows: int, cols: int, path: str) -> np.ndarray:
-    if not isinstance(data, list):
-        raise ParseError("matrix must be a list of [re, im] pairs", path)
-    if len(data) != rows * cols:
-        raise ParseError(f"expected {rows * cols} entries, got {len(data)}", path)
-    out = np.empty(rows * cols, dtype=complex)
-    for k, pair in enumerate(data):
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair)
-        ):
-            raise ParseError("entry must be a [re, im] pair of numbers", f"{path}[{k}]")
-        out[k] = complex(float(pair[0]), float(pair[1]))
-    return out.reshape(rows, cols)
+    return _wire_stack([data], rows * cols, [path]).reshape(rows, cols)
+
+
+def _wire_list(mats: list, dim: int, path: str) -> np.ndarray:
+    """A list of ``dim x dim`` wire matrices as one ``(k, dim, dim)`` stack."""
+    paths = (f"{path}[{k}]" for k in range(len(mats)))
+    return _wire_stack(mats, dim * dim, paths).reshape(-1, dim, dim)
 
 
 def _loads(data, path: str = "$") -> dict:
@@ -92,8 +147,11 @@ def channel_to_document(ch: KrausChannel, metadata: dict | None = None) -> dict:
     return doc
 
 
-def parse_channel_ops(data) -> tuple[int, list[np.ndarray]]:
-    """Parse the structure of a channel document without validating the map."""
+def parse_channel_ops(data) -> tuple[int, np.ndarray]:
+    """Parse the structure of a channel document without validating the map.
+
+    Returns ``dim`` and the Kraus operators as one ``(k, dim, dim)`` stack.
+    """
     obj = _loads(data)
     _require(obj, "schema_version", str, "$")
     dim = _require(obj, "dim", int, "$")
@@ -102,10 +160,7 @@ def parse_channel_ops(data) -> tuple[int, list[np.ndarray]]:
     kraus_raw = _require(obj, "kraus", list, "$")
     if not kraus_raw:
         raise ParseError("kraus list must be nonempty", "$.kraus")
-    ops = [
-        wire_to_matrix(entry, dim, dim, f"$.kraus[{k}]") for k, entry in enumerate(kraus_raw)
-    ]
-    return dim, ops
+    return dim, _wire_list(kraus_raw, dim, "$.kraus")
 
 
 def parse_channel(data, tol: Tolerances = DEFAULT_TOL) -> KrausChannel:
@@ -146,13 +201,10 @@ def parse_measurement(data) -> Povm | ProjectiveMeasurement:
     elements_raw = _require(obj, "elements", list, "$")
     if not elements_raw:
         raise ParseError("elements list must be nonempty", "$.elements")
-    mats = [
-        wire_to_matrix(entry, dim, dim, f"$.elements[{k}]")
-        for k, entry in enumerate(elements_raw)
-    ]
+    mats = tuple(_wire_list(elements_raw, dim, "$.elements"))
     if kind == "projective":
-        return ProjectiveMeasurement(dim=dim, projectors=tuple(mats))
-    return Povm(dim=dim, elements=tuple(mats))
+        return ProjectiveMeasurement(dim=dim, projectors=mats)
+    return Povm(dim=dim, elements=mats)
 
 
 def operator_to_document(m: np.ndarray) -> dict:
@@ -179,6 +231,21 @@ def parse_operator(data) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+# one wire pair, formatted as the per-float branch of _emit formats each float
+_PAIR = "[{:.17g},{:.17g}]"
+
+
+def _is_wire(value) -> bool:
+    """Whether ``value`` is a nonempty list of ``[re, im]`` pairs of Python
+    floats (not ints, which print in integer form)."""
+    pairs = chain.from_iterable
+    return (
+        set(map(type, value)) == {list}
+        and set(map(len, value)) == {2}
+        and set(map(type, pairs(value))) == {float}
+    )
+
+
 def _emit(value, parts: list[str]) -> None:
     if value is None:
         parts.append("null")
@@ -199,6 +266,10 @@ def _emit(value, parts: list[str]) -> None:
             parts.append(":")
             _emit(v, parts)
         parts.append("}")
+    elif isinstance(value, (list, tuple)) and _is_wire(value):
+        parts.append("[")
+        parts.append(",".join(starmap(_PAIR.format, value)))
+        parts.append("]")
     elif isinstance(value, (list, tuple)):
         parts.append("[")
         for i, v in enumerate(value):

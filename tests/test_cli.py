@@ -285,6 +285,73 @@ class TestNonFiniteArguments:
         assert strict_json(out)["error"]["type"] == "ValueError"
 
 
+NON_FINITE_TOKENS = ["NaN", "Infinity", "-Infinity", "1e999", "1" + "0" * 400]
+
+
+class TestNonFiniteEntries:
+    """A matrix entry that is not a finite float is a parse error (exit 2)
+    with the entry's path, never a report with NaN in it or a traceback."""
+
+    def expect_parse_error(self, args, path):
+        code, out, err = run(args)
+        assert code == 2
+        error = strict_json(out)["error"]
+        assert error["type"] == "ParseError"
+        assert error["path"] == path
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("token", NON_FINITE_TOKENS, ids=lambda t: t[:10])
+    @pytest.mark.parametrize("verb", ["validate", "decompose"])
+    def test_channel(self, tmp_path, token, verb):
+        text = ('{"schema_version": "1", "dim": 1, "kraus": [[[1, 0]], [[0, %s]]]}' % token)
+        path = write(tmp_path, "ch.json", text)
+        self.expect_parse_error([verb, path], "$.kraus[1][0]")
+
+    @pytest.mark.parametrize("token", NON_FINITE_TOKENS, ids=lambda t: t[:10])
+    def test_measurement(self, tmp_path, depolarizing_doc, token):
+        text = ('{"schema_version": "1", "dim": 2, "type": "povm", "elements": '
+                '[[[1, 0], [0, 0], [0, 0], [%s, 0]]]}' % token)
+        mpath = write(tmp_path, "m.json", text)
+        self.expect_parse_error(["check-measurement", depolarizing_doc, mpath],
+                                "$.elements[0][3]")
+
+    @pytest.mark.parametrize("token", NON_FINITE_TOKENS, ids=lambda t: t[:10])
+    def test_state(self, tmp_path, depolarizing_doc, token):
+        text = ('{"schema_version": "1", "dim": 2, "matrix": '
+                '[[0.5, 0], [0, %s], [0, 0], [0.5, 0]]}' % token)
+        spath = write(tmp_path, "rho.json", text)
+        self.expect_parse_error(["fixed-states", depolarizing_doc, "--state", spath],
+                                "$.matrix[1]")
+
+
+class TestSharedParser:
+    """One process runs verbs in a row; nothing carries over between calls."""
+
+    def test_parse_error_then_good_call(self, depolarizing_doc):
+        assert run(["decompose"])[0] == 2
+        assert run(["no-such-verb", depolarizing_doc])[0] == 2
+        code, out, _ = run(["decompose", depolarizing_doc])
+        assert code == 0
+        assert json.loads(out)["command"] == "decompose"
+
+    def test_match_seeds_default(self, depolarizing_doc):
+        runs = [[], ["--seeds", "2", "3"], []]
+        seeds = []
+        for extra in runs:
+            code, out, _ = run(["match", depolarizing_doc, *extra])
+            assert code == 0
+            seeds.append(json.loads(out)["seeds"])
+        assert seeds == [[0, 1], [2, 3], [0, 1]]
+
+    def test_capacity_values_do_not_leak(self):
+        code, out, _ = run(["capacity", "--quantity", "combine", "--values", "1", "2"])
+        assert code == 0
+        assert json.loads(out)["quantity"]["per_block"] == [1.0, 2.0]
+        code, out, _ = run(["capacity", "--quantity", "combine"])
+        assert code == 2
+        assert json.loads(out)["error"]["message"] == "--quantity combine needs --values"
+
+
 class TestRestrict:
     def test_block_channel(self, tmp_path):
         ch, _, _ = rotated_direct_sum((2, 3), seed=19)
