@@ -178,7 +178,12 @@ def _canonical_basis(basis: np.ndarray) -> np.ndarray:
 
 
 def _block_sort_key(s: Subspace):
-    lead = np.round(s.basis[:, 0], 9)
+    """Dimension, then the rounded projector column ``P[:, i] / sqrt(P_ii)`` at
+    the largest diagonal entry: a function of the block alone, which for a
+    ray is its phase-fixed basis vector."""
+    p = s.projector()
+    i = int(np.argmax(np.real(np.diagonal(p))))
+    lead = np.round(p[:, i] / np.sqrt(p[i, i].real), 9)
     return (s.dim, tuple(float(x) for pair in zip(lead.real, lead.imag) for x in pair))
 
 
@@ -186,14 +191,20 @@ _MAX_DRAWS = 8  # random fixed operators tried before a split fails
 
 
 def _split(commutant: CommutantBasis, rng: np.random.Generator, tol: Tolerances) -> list:
-    """Orthonormal bases of the irreducible blocks: the eigenspaces of one random
-    real combination of the non-identity commutant elements, redrawn while it
-    merges blocks (an eigenspace fails :meth:`CommutantBasis.is_scalar_on`)."""
+    """Orthonormal bases of the irreducible blocks: the eigenspaces of the
+    projection onto the commutant of one random traceless Hermitian matrix,
+    redrawn while it merges blocks (an eigenspace fails
+    :meth:`CommutantBasis.is_scalar_on`). The draw lives in the ambient space,
+    so the split depends on the commutant and the seed, not on its basis."""
+    d = commutant.dim
     if commutant.count == 1:
-        return [np.eye(commutant.dim, dtype=complex)]
+        return [np.eye(d, dtype=complex)]
     for _ in range(_MAX_DRAWS):
-        coeff = rng.standard_normal(commutant.count - 1)
-        sigma = np.tensordot(coeff, commutant.hermitian_basis[1:], axes=1)
+        z = rng.standard_normal((2, d, d))
+        x = z[0] + 1j * z[1]
+        x = x + x.conj().T
+        x -= np.trace(x) / d * np.eye(d)
+        sigma = commutant.project(x)  # traceless, since I is in the commutant
         w, v = hermitian_eig(sigma / max_abs(sigma), tol)
         bases = [v[:, idx] for idx in cluster_eigenvalues(w, tol.eigencluster)]
         if all(commutant.is_scalar_on(b) for b in bases):

@@ -220,28 +220,25 @@ class TestDecompose:
 
 
 class ScriptedDraws:
-    """Random generator stand-in for ``_split``: returns the scripted
-    coefficient draws first, then those of a seeded generator, and counts
-    every draw."""
+    """Random generator stand-in for ``_split``: returns the scripted draws
+    first, then those of a seeded generator, and counts every draw."""
 
     def __init__(self, draws, seed=0):
         self.draws = list(draws)
         self.rng = np.random.default_rng(seed)
         self.calls = 0
 
-    def standard_normal(self, n):
+    def standard_normal(self, shape):
         self.calls += 1
-        return self.draws.pop(0) if self.draws else self.rng.standard_normal(n)
+        return self.draws.pop(0) if self.draws else self.rng.standard_normal(shape)
 
 
-def merging_draw(commutant, projectors, a, b):
-    """Coefficients over the two non-identity elements of a 3-block commutant
-    whose combination has the same eigenvalue on blocks ``a`` and ``b``."""
-    h = commutant.hermitian_basis[1:]
-    assert len(h) == 2
-    eig = [np.real(np.einsum("kij,ji->k", h, p)) / np.trace(p).real for p in projectors]
-    diff = eig[a] - eig[b]
-    return np.array([-diff[1], diff[0]]) / np.linalg.norm(diff)
+def merging_draw(projectors, a, b):
+    """A draw ``z`` whose Hermitian matrix ``X = Z + Z^dagger`` (``Z = z[0] + i z[1]``)
+    is ``P_a + P_b``: its projection onto the commutant has the same
+    eigenvalue on blocks ``a`` and ``b``."""
+    x = projectors[a] + projectors[b]
+    return np.stack([x.real, x.imag]) / 2
 
 
 class TestOneSplit:
@@ -250,7 +247,7 @@ class TestOneSplit:
         self.commutant = commutant_basis(self.ch)
 
     def test_merging_draw_is_redrawn(self):
-        rng = ScriptedDraws([merging_draw(self.commutant, self.projectors, 1, 2)])
+        rng = ScriptedDraws([merging_draw(self.projectors, 1, 2)])
         bases = _split(self.commutant, rng, DEFAULT_TOL)
         assert rng.calls == 2
         assert sorted(b.shape[1] for b in bases) == [1, 2, 3]
@@ -258,7 +255,7 @@ class TestOneSplit:
             assert max_abs(b @ b.conj().T - p) < 1e-9
 
     def test_every_draw_merging_fails(self):
-        c = merging_draw(self.commutant, self.projectors, 1, 2)
+        c = merging_draw(self.projectors, 1, 2)
         rng = ScriptedDraws([c] * 8)
         with pytest.raises(ToleranceFailure):
             _split(self.commutant, rng, DEFAULT_TOL)
