@@ -35,7 +35,7 @@ from .errors import (
     InvalidParameter,
     NonConvergence,
 )
-from .linalg import DEFAULT_TOL, Tolerances, density_matrix
+from .linalg import DEFAULT_TOL, Tolerances, density_matrix, require_at_least, seeded_rng
 
 _LN2 = float(np.log(2.0))
 _EIG_FLOOR = 1e-18
@@ -234,9 +234,8 @@ def min_output_renyi(
     the true minimum.
     """
     require_renyi_order(alpha)
-    if restarts < 1:
-        raise InvalidParameter("restarts must be >= 1")
-    z = np.random.default_rng(seed).standard_normal((restarts, 2, ch.dim))
+    require_at_least("restarts", restarts, 1)
+    z = seeded_rng(seed).standard_normal((restarts, 2, ch.dim))
     f, x, _ = _sphere_descent(ch, alpha, z[:, 0] + 1j * z[:, 1])
     best = int(np.argmin(f))  # ties go to the first restart
     return ChannelQuantity(
@@ -349,6 +348,7 @@ def ent_assisted_capacity(
     once the concavity duality gap certifies the value to within
     ``tol.optimizer`` bits.
     """
+    require_at_least("max_iters", max_iters, 0)
     if ch.dim > dim_cap:
         raise DimensionTooLarge(f"dim {ch.dim} exceeds the configured cap {dim_cap}")
     rho0 = np.eye(ch.dim, dtype=complex)[None] / ch.dim
@@ -384,12 +384,12 @@ def coherent_information(
     true maximum. Pure inputs give exactly zero, so the value is always
     nonnegative.
     """
-    if restarts < 1:
-        raise InvalidParameter("restarts must be >= 1")
+    require_at_least("restarts", restarts, 1)
+    require_at_least("max_iters", max_iters, 0)
     d = ch.dim
     eye = np.eye(d, dtype=complex)
     corners = 0.999 * eye[:, :, None] * eye[:, None, :] + 0.001 * np.eye(d) / d
-    z = np.random.default_rng(seed).standard_normal((restarts, 2, d, d))
+    z = seeded_rng(seed).standard_normal((restarts, 2, d, d))
     z = z[:, 0] + 1j * z[:, 1]
     m = z @ _dag(z)
     randoms = m / np.real(np.trace(m, axis1=1, axis2=2))[:, None, None]

@@ -21,7 +21,9 @@ from .linalg import (
     haar_unitary,
     max_abs,
     operator_stack,
+    require_at_least,
     require_unitary,
+    seeded_rng,
 )
 
 
@@ -196,8 +198,7 @@ def _clock(d: int) -> np.ndarray:
 
 
 def identity_channel(dim: int) -> KrausChannel:
-    if dim < 1:
-        raise InvalidParameter("dim must be >= 1")
+    require_at_least("dim", dim, 1)
     return KrausChannel.from_kraus([np.eye(dim, dtype=complex)])
 
 
@@ -218,8 +219,7 @@ def depolarizing_channel(dim: int, p: float) -> KrausChannel:
     weighting the identity term by ``1 - p + p/dim^2`` and the rest by
     ``p/dim^2`` reproduces the map exactly for every ``dim``.
     """
-    if dim < 1:
-        raise InvalidParameter("dim must be >= 1")
+    require_at_least("dim", dim, 1)
     if not 0 < p <= 1:
         raise InvalidParameter(f"depolarizing strength must satisfy 0 < p <= 1, got {p}")
     x = _shift(dim)
@@ -237,8 +237,7 @@ def dephasing_channel(dim: int) -> KrausChannel:
 
     For ``dim = 2`` this is the familiar pair ``{I, Z} / sqrt(2)``.
     """
-    if dim < 1:
-        raise InvalidParameter("dim must be >= 1")
+    require_at_least("dim", dim, 1)
     z = _clock(dim)
     ops = [np.linalg.matrix_power(z, a) / np.sqrt(dim) for a in range(dim)]
     return KrausChannel.from_kraus(ops)
@@ -246,11 +245,9 @@ def dephasing_channel(dim: int) -> KrausChannel:
 
 def random_unital_channel(dim: int, n_unitaries: int, seed: int) -> KrausChannel:
     """Equal-weight mixture of ``n_unitaries`` Haar-random unitaries."""
-    if dim < 1:
-        raise InvalidParameter("dim must be >= 1")
-    if n_unitaries < 1:
-        raise InvalidParameter("n_unitaries must be >= 1")
-    rng = np.random.default_rng(seed)
+    require_at_least("dim", dim, 1)
+    require_at_least("n_unitaries", n_unitaries, 1)
+    rng = seeded_rng(seed)
     ops = [haar_unitary(dim, rng) / np.sqrt(n_unitaries) for _ in range(n_unitaries)]
     return KrausChannel.from_kraus(ops)
 

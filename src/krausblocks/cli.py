@@ -36,7 +36,7 @@ from .errors import (
     ValidationError,
 )
 from .fixed_points import BlockMixture, classify_fixed_state, commutant_basis
-from .linalg import Tolerances
+from .linalg import DEFAULT_TOL, Tolerances, require_at_least
 from .measurement import (
     StructuralDecomposition,
     measurement_preserved,
@@ -62,8 +62,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p: argparse.ArgumentParser, seed: bool = True):
-        p.add_argument("--tol-residual", type=float, default=1e-9)
-        p.add_argument("--tol-eigencluster", type=float, default=1e-7)
+        p.add_argument("--tol-residual", type=float, default=DEFAULT_TOL.residual)
+        p.add_argument("--tol-eigencluster", type=float, default=DEFAULT_TOL.eigencluster)
         if seed:
             p.add_argument("--seed", type=int, default=0)
 
@@ -328,6 +328,8 @@ def _cmd_check_measurement(args, tol):
 
 
 def _cmd_capacity(args, tol):
+    require_at_least("--restarts", args.restarts, 1)  # before the channel is read
+    require_at_least("--max-iters", args.max_iters, 0)
     out = _report_head("capacity", tol)
     if args.quantity == "combine":
         if not args.values:
@@ -452,6 +454,8 @@ def run_command(argv) -> int:
         return 2
 
     try:
+        for seed in getattr(args, "seeds", [getattr(args, "seed", 0)]):
+            require_at_least("seed", seed, 0)  # before any document is read
         report, human, code = _HANDLERS[command](args, tol)
     except ParseError as exc:
         print(dumps_report(_error_report(command, exc, {"path": exc.path})))

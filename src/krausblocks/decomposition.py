@@ -4,8 +4,10 @@ restriction, and matching of two decompositions.
 A subspace is invariant exactly when the channel fixes its projector;
 equivalently all Kraus operators are block-diagonal with respect to it. The
 decomposition routine solves the commutant once and splits the space in one
-step along the eigenspaces of a random fixed operator, redrawn until the
-commutant compresses to the scalars (is irreducible) on every eigenspace.
+step along the eigenspaces of the commutant projection of a random Hermitian
+matrix (so the split depends on the commutant and the seed, not on its
+basis), redrawn until the commutant compresses to the scalars (is
+irreducible) on every eigenspace.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .linalg import (
     hermitian_eig,
     max_abs,
     orthonormal_complement,
+    seeded_rng,
 )
 
 
@@ -178,9 +181,6 @@ def _canonical_basis(basis: np.ndarray) -> np.ndarray:
 
 
 def _block_sort_key(s: Subspace):
-    """Dimension, then the rounded projector column ``P[:, i] / sqrt(P_ii)`` at
-    the largest diagonal entry: a function of the block alone, which for a
-    ray is its phase-fixed basis vector."""
     p = s.projector()
     i = int(np.argmax(np.real(np.diagonal(p))))
     lead = np.round(p[:, i] / np.sqrt(p[i, i].real), 9)
@@ -192,19 +192,15 @@ _MAX_DRAWS = 8  # random fixed operators tried before a split fails
 
 def _split(commutant: CommutantBasis, rng: np.random.Generator, tol: Tolerances) -> list:
     """Orthonormal bases of the irreducible blocks: the eigenspaces of the
-    projection onto the commutant of one random traceless Hermitian matrix,
-    redrawn while it merges blocks (an eigenspace fails
-    :meth:`CommutantBasis.is_scalar_on`). The draw lives in the ambient space,
-    so the split depends on the commutant and the seed, not on its basis."""
+    commutant projection of a random traceless Hermitian matrix, redrawn while
+    it merges blocks (an eigenspace fails :meth:`CommutantBasis.is_scalar_on`)."""
     d = commutant.dim
     if commutant.count == 1:
         return [np.eye(d, dtype=complex)]
     for _ in range(_MAX_DRAWS):
         z = rng.standard_normal((2, d, d))
-        x = z[0] + 1j * z[1]
-        x = x + x.conj().T
-        x -= np.trace(x) / d * np.eye(d)
-        sigma = commutant.project(x)  # traceless, since I is in the commutant
+        x = z[0] + z[0].T + 1j * (z[1] - z[1].T)  # Z + Z^dagger
+        sigma = commutant.project(x - np.trace(x) / d * np.eye(d))  # traceless: I is fixed
         w, v = hermitian_eig(sigma / max_abs(sigma), tol)
         bases = [v[:, idx] for idx in cluster_eigenvalues(w, tol.eigencluster)]
         if all(commutant.is_scalar_on(b) for b in bases):
@@ -232,13 +228,15 @@ def iris_decompose(
     for a fixed seed.
 
     Blocks are ordered by dimension ascending, ties broken by the rounded
-    leading basis vector.
+    column ``P[:, i] / sqrt(P_ii)`` of the block projector at its largest
+    diagonal entry. Blocks and order depend only on the commutant and
+    ``seed``; the basis inside a block of dimension above 1 is set by rounding.
     """
     if commutant is None:
         commutant = commutant_basis(ch, tol)
     elif commutant.dim != ch.dim:
         raise DimensionMismatch(f"commutant dim {commutant.dim} != channel dim {ch.dim}")
-    bases = _split(commutant, np.random.default_rng(seed), tol)
+    bases = _split(commutant, seeded_rng(seed), tol)
 
     blocks = sorted(
         (Subspace(ch.dim, _canonical_basis(b)) for b in bases), key=_block_sort_key

@@ -2,12 +2,13 @@
 
 For a unital trace-preserving map, an operator is fixed exactly when it
 commutes with every Kraus operator, so the fixed set is computed as the
-common kernel of the commutators ``X -> A_i X - X A_i``. Candidates come from
-one ``eigh`` of their ``d^2 x d^2`` Gram matrix; the kernel is then decided on
-the singular values of the commutators themselves, not on their squares, so
-the verdict is the one the stacked commutation system gives. That system is
-better conditioned than the null space of (superoperator - identity), which
-is kept as a cross-check oracle in the tests.
+common kernel of the commutators ``X -> A_i X - X A_i``. That kernel is
+spanned by Hermitian matrices, so candidates come from one real symmetric
+``eigh`` of the commutators' ``d^2 x d^2`` Gram matrix in Hermitian
+coordinates; the kernel is then decided on the singular values of the
+commutators themselves, not on their squares, so the verdict is the one the
+stacked commutation system gives. That system is better conditioned than the
+null space of (superoperator - identity), kept as a test oracle.
 """
 
 from __future__ import annotations
@@ -49,8 +50,8 @@ class CommutantBasis:
     def is_scalar_on(self, basis) -> bool:
         """Irreducibility certificate of the span of the orthonormal columns B of
         ``basis``, whose projector must lie in this algebra (e.g. an eigenspace
-        of an element): every ``B^dagger H B`` is a scalar, which is the
-        :func:`_orthonormalize` decision on them keeping only the identity."""
+        of an element): every ``B^dagger H B`` is a scalar up to a Frobenius
+        norm of ``_NEGLIGIBLE_NORM``."""
         b = as_matrix(basis)
         c = b.conj().T @ self.hermitian_basis @ b
         scalars = np.trace(c, axis1=1, axis2=2)[:, None, None] / b.shape[1]
@@ -84,91 +85,79 @@ def _commutant_gram(a: np.ndarray, t: np.ndarray, u: np.ndarray) -> np.ndarray:
     return g
 
 
-def _commutant_kernel(a: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """Orthonormal columns spanning ``{vec(X) : A_i X = X A_i for all i}``
-    (column-stacked), with the verdict ``linalg.null_space`` gives on the
-    stacked commutators ``C_i``, at no more than ``d^4`` entries per array.
+def _real_form(g: np.ndarray, d: int) -> np.ndarray:
+    """``(Re(G + PGP) - Im(PG - GP)) / 2`` for the vec transpose P: the matrix of
+    ``y -> vec(X)^dagger G vec(X)`` for ``X = sym(Y) + i antisym(Y)``, an
+    isometry from the real ``y = vec(Y)`` onto the Hermitian matrices."""
+    g4 = g.reshape(d, d, d, d)  # [q, p, q', p'] = G[q d + p, q' d + p']
+    r = g4.real + g4.real.transpose(1, 0, 3, 2)
+    r -= g4.imag.transpose(1, 0, 2, 3)
+    r += g4.imag.transpose(0, 1, 3, 2)
+    r *= 0.5
+    return r.reshape(d * d, d * d)
 
-    Candidates: eigenvectors of ``G = sum C_i^dagger C_i`` with eigenvalue at
-    most ``sqrt(tol.nullspace) * max(lambda_max, |T| + |U|)``. ``|T| + |U|``
-    is the rounding floor, the size of the terms that cancel in G, so a G
-    that vanishes up to rounding keeps its whole space; the square root keeps
-    every left-out direction far enough above the kernel that ``eigh``'s
-    rounding tilts the candidates by about ``eps / sqrt(tol.nullspace)``.
-    Decision: the candidates' commutators, formed a few Kraus operators at a
-    time and folded into the R factor of one QR, have the singular values of
-    the full stack, unsquared; those at most ``tol.nullspace * sqrt(lambda_max)``
-    give the kernel, as the candidates rotated by R's right singular vectors.
+
+def _hermitian(y: np.ndarray, d: int) -> np.ndarray:
+    """The matrices ``sym(Y) + i antisym(Y)`` of the real columns ``y = vec(Y)``."""
+    yt = y.T.reshape(-1, d, d)  # Y^T, since vec stacks columns
+    return ((1 + 1j) * yt.transpose(0, 2, 1) + (1 - 1j) * yt) / 2
+
+
+def _commutant_kernel(a: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """Orthonormal columns ``vec(H_j)`` (column-stacked) of a Hermitian basis
+    of ``{X : A_i X = X A_i for all i}``, ``H_0 = I / sqrt(d)`` first, with the
+    verdict ``linalg.null_space`` gives on the stacked commutators ``C_i``, at
+    no more than ``d^4`` entries per array.
+
+    Candidates: the eigenvectors of :func:`_real_form` of
+    ``G = sum C_i^dagger C_i`` (one real symmetric ``eigh``, with
+    ``4 (|T| + |U|) >= 2 lambda_max(G)`` added on the direction of I to lift it
+    out) with eigenvalue at most ``sqrt(tol.nullspace) * max(lambda_max, |T| + |U|)``.
+    ``|T| + |U|`` is the rounding floor, the size of the terms that cancel in
+    G, so a G that vanishes up to rounding keeps its whole space; the square
+    root keeps every left-out direction far enough above the kernel that
+    ``eigh``'s rounding tilts the candidates by about ``eps / sqrt(tol.nullspace)``.
+    Decision: the candidates' commutators, real and imaginary parts stacked,
+    formed a few Kraus operators at a time and folded into the R factor of
+    one QR, have the singular values of the full stack, unsquared; those at
+    most ``tol.nullspace * sqrt(lambda_max)`` give the kernel, as the
+    candidates rotated by R's right singular vectors.
     """
     k, d = a.shape[0], a.shape[1]
     t = np.einsum("kji,kjl->il", a.conj(), a)
     u = np.einsum("kij,klj->il", a, a.conj())
-    w, v = np.linalg.eigh(_commutant_gram(a, t, u))
-    lam_max = max(float(w[-1]), 0.0)
     floor = float(np.sum(np.linalg.eigvalsh(np.stack([t, u]))[:, -1]))
-    v = v[:, w <= np.sqrt(tol.nullspace) * max(lam_max, floor)]
-    n = v.shape[1]
-    if n == 0:
-        return v
-    x = v.T.reshape(n, d, d).transpose(0, 2, 1)  # unvec, column-stacked
-    chunk = max(1, d * d // n)  # chunk * n * d^2 <= d^4 entries per image
-    r = np.zeros((0, n), dtype=complex)
-    for i in range(0, k, chunk):
-        ops = a[i : i + chunk, None]
-        image = (ops @ x - x @ ops).transpose(0, 2, 3, 1).reshape(-1, n)
-        r = np.linalg.qr(np.concatenate([r, image]), mode="r")
-    _, sigma, vh = np.linalg.svd(r)
-    keep = sigma <= tol.nullspace * np.sqrt(lam_max)
-    return v @ vh.conj().T[:, keep]
+    g = _real_form(_commutant_gram(a, t, u), d)
+    identity = np.arange(d) * (d + 1)  # the entries of vec(I)
+    g[np.ix_(identity, identity)] += 4.0 * floor / d
+    w, v = np.linalg.eigh(g)
+    lam_max = float(np.max(w[:-1], initial=0.0))
+    if not lam_max <= 2.0 * floor * (1.0 + tol.residual):
+        raise ToleranceFailure(
+            f"Gram eigenvalue {lam_max:.6e} exceeds its bound 2(|T| + |U|) = {2 * floor:.6e}"
+        )
+    y = v[:, w <= np.sqrt(tol.nullspace) * max(lam_max, floor)]
+    if y.shape[1]:
+        x, n = _hermitian(y, d), y.shape[1]
+        chunk = max(1, d * d // n)  # chunk * n * d^2 <= d^4 entries per image
+        r = np.zeros((0, n))
+        for i in range(0, k, chunk):
+            ops = a[i : i + chunk, None]
+            image = (ops @ x - x @ ops).transpose(0, 2, 3, 1).reshape(-1, n)
+            r = np.linalg.qr(np.concatenate([r, image.real, image.imag]), mode="r")
+        _, sigma, vh = np.linalg.svd(r)
+        y = y @ vh.T[:, sigma <= tol.nullspace * np.sqrt(lam_max)]
+    y = np.concatenate([np.eye(d).reshape(-1, 1) / np.sqrt(d), y], axis=1)
+    return _hermitian(y, d).transpose(0, 2, 1).reshape(-1, d * d).T
 
 
 def commutant_basis(ch: KrausChannel, tol: Tolerances = DEFAULT_TOL) -> CommutantBasis:
-    """Solve ``A_i s = s A_i`` for all i and return a Hermitian basis.
-
-    The complex solution space (:func:`_commutant_kernel`) costs ``O(d^6)``
-    time and ``O(d^4)`` memory whatever the Kraus rank. It is intersected
-    with the Hermitian matrices by splitting each element B into
-    ``(B + B^dagger)/2`` and ``(B - B^dagger)/(2i)``, then
-    trace-orthonormalizing with the normalized identity pinned as the first
-    basis element.
-    """
+    """Solve ``A_i s = s A_i`` for all i and return a Hermitian basis, the
+    normalized identity first: ``O(d^6)`` time and ``O(d^4)`` memory whatever
+    the Kraus rank (:func:`_commutant_kernel`)."""
     d = ch.dim
-    kernel = _commutant_kernel(ch.kraus, tol)
-    n_complex = kernel.shape[1]
-
-    # unvec of every kernel column (column-stacked), then its Hermitian and
-    # anti-Hermitian parts, interleaved per column
-    b = kernel.T.reshape(n_complex, d, d).transpose(0, 2, 1)
-    b_dag = b.conj().transpose(0, 2, 1)
-    candidates = np.stack([(b + b_dag) / 2.0, (b - b_dag) / 2.0j], axis=1)
-    basis = _orthonormalize(d, candidates.reshape(2 * n_complex, d, d))
-
-    if len(basis) != n_complex:
-        raise ToleranceFailure(
-            f"Hermitian commutant dimension {len(basis)} disagrees with the "
-            f"complex solution count {n_complex}; tolerances are inconsistent"
-        )
-    return CommutantBasis(dim=d, hermitian_basis=basis)
-
-
-def _orthonormalize(dim: int, candidates: np.ndarray) -> np.ndarray:
-    """Trace-orthonormal basis ``(count, dim, dim)`` of the span of the Hermitian
-    ``candidates``, with the normalized identity pinned first. Gram-Schmidt over
-    the reals: Hermitian matrices form a real vector space, in which
-    ``Re tr(H^dagger R)`` is the dot product of the float views."""
-    pinned = np.eye(dim, dtype=complex)[None] / np.sqrt(dim)
-    vectors = np.ascontiguousarray(np.concatenate([pinned, candidates]).reshape(-1, dim * dim))
-    vectors = vectors.view(float)
-    basis = np.empty_like(vectors)
-    count = 0
-    for r in vectors:
-        for _ in range(2):  # reorthogonalize once for 1e-12-level orthogonality
-            r = r - (basis[:count] @ r) @ basis[:count]
-        norm = float(np.linalg.norm(r))
-        if norm > _NEGLIGIBLE_NORM:
-            basis[count] = r / norm
-            count += 1
-    return frozen(basis[:count].view(complex).reshape(count, dim, dim))
+    basis = _commutant_kernel(ch.kraus, tol).T.reshape(-1, d, d).transpose(0, 2, 1)
+    return CommutantBasis(dim=d, hermitian_basis=frozen(basis))
 
 
 @dataclass(frozen=True)

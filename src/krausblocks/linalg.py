@@ -12,7 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotADensityMatrix, NotHermitian, NotOrthonormal, NotUnitary
+from .errors import (
+    DimensionMismatch, InvalidParameter, NotADensityMatrix, NotHermitian, NotOrthonormal, NotUnitary
+)
 
 
 @dataclass(frozen=True)
@@ -173,6 +175,18 @@ def cluster_eigenvalues(values: np.ndarray, width: float) -> list[np.ndarray]:
         return []
     breaks = np.nonzero(np.diff(v) > width)[0]
     return np.split(np.arange(v.size), breaks + 1)
+
+
+def require_at_least(name: str, value: int, least: int) -> None:
+    """Raise InvalidParameter when the integer argument ``value`` is below ``least``."""
+    if value < least:
+        raise InvalidParameter(f"{name} must be >= {least}")
+
+
+def seeded_rng(seed: int) -> np.random.Generator:
+    """``numpy.random.default_rng(seed)``, with InvalidParameter for a negative seed."""
+    require_at_least("seed", seed, 0)
+    return np.random.default_rng(seed)
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

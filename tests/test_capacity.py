@@ -296,6 +296,25 @@ class TestCoherentInformation:
             assert q.value >= coherent_information_value(ch, rho) - 2e-4
 
 
+class TestArgumentRanges:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: ent_assisted_capacity(identity_channel(2), max_iters=-1),
+            lambda: coherent_information(identity_channel(2), restarts=2, max_iters=-1),
+            lambda: min_output_renyi(identity_channel(2), 1.0, restarts=2, seed=-1),
+            lambda: coherent_information(identity_channel(2), restarts=2, seed=-1),
+            lambda: random_unital_channel(2, 2, seed=-1),
+            lambda: iris_decompose(identity_channel(2), seed=-1),
+        ],
+        ids=["ce-max-iters", "coh-max-iters", "smin-seed", "coh-seed", "random-unital-seed",
+             "decompose-seed"],
+    )
+    def test_invalid_parameter(self, call):
+        with pytest.raises(InvalidParameter):
+            call()
+
+
 class TestReduction:
     def test_min_rule(self):
         assert reduce_over_blocks("min_output_renyi", [0.3, 0.7]) == 0.3

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from krausblocks import superoperator_distance
-from krausblocks.cli import run_command
+from krausblocks.cli import _PARSER, _tol, run_command
+from krausblocks.linalg import Tolerances
 from krausblocks.serialize import (
     channel_to_document,
     dumps_report,
@@ -283,6 +284,52 @@ class TestNonFiniteArguments:
         code, out, _ = run(["decompose", depolarizing_doc, "--tol-residual", "inf"])
         assert code == 2
         assert strict_json(out)["error"]["type"] == "ValueError"
+
+
+class TestArgumentRanges:
+    """Out-of-range integer arguments exit 2 with an InvalidParameter report
+    before any document is read, so no commutant is solved."""
+
+    @pytest.fixture
+    def channel_doc(self, tmp_path):
+        code, doc, _ = run(["gen", "--kind", "random_unital", "--dim", "3"])
+        assert code == 0
+        return write(tmp_path, "ch.json", doc)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["decompose", "CH", "--seed", "-1"],
+            ["restrict", "CH", "--block", "0", "--seed", "-1"],
+            ["fixed-states", "CH", "--seed", "-1"],
+            ["capacity", "CH", "--quantity", "smin", "--seed", "-1"],
+            ["match", "CH", "--seeds", "-1", "2"],
+            ["capacity", "CH", "--quantity", "ce", "--max-iters", "-5"],
+            ["capacity", "CH", "--quantity", "smin", "--restarts", "0"],
+            ["capacity", "CH", "--quantity", "coh", "--restarts", "0"],
+        ],
+        ids=["decompose", "restrict", "fixed-states", "capacity", "match", "max-iters",
+             "smin-restarts", "coh-restarts"],
+    )
+    def test_rejected_before_solve(self, monkeypatch, channel_doc, args):
+        calls = count_calls(monkeypatch, fixed_points, "commutant_basis")
+        code, out, err = run([channel_doc if a == "CH" else a for a in args])
+        assert code == 2
+        assert strict_json(out)["error"]["type"] == "InvalidParameter"
+        assert "Traceback" not in err
+        assert len(calls) == 0
+
+    def test_gen_negative_seed(self):
+        code, out, err = run(["gen", "--kind", "random_unital", "--dim", "3", "--seed", "-1"])
+        assert code == 2
+        assert strict_json(out)["error"]["type"] == "InvalidParameter"
+        assert "Traceback" not in err
+
+
+def test_tolerance_defaults_are_the_library_defaults():
+    for argv in (["validate", "x"], ["decompose", "x"], ["match", "x"], ["gen", "--kind",
+                 "identity", "--dim", "2"], ["capacity", "--quantity", "combine"]):
+        assert _tol(_PARSER.parse_args(argv)) == Tolerances()
 
 
 NON_FINITE_TOKENS = ["NaN", "Infinity", "-Infinity", "1e999", "1" + "0" * 400]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from krausblocks import (
+    CommutantBasis,
     IrisDecomposition,
     Subspace,
     commutant_basis,
@@ -30,6 +31,7 @@ from krausblocks import fixed_points
 from krausblocks.decomposition import _split
 from krausblocks.linalg import DEFAULT_TOL, max_abs
 
+from tests.test_golden import CASES as GOLDEN_CASES
 from tests.util import (
     count_calls,
     coupled_blocks,
@@ -271,6 +273,35 @@ class TestOneSplit:
     def test_commutant_of_another_dimension(self):
         with pytest.raises(DimensionMismatch):
             iris_decompose(identity_channel(3), commutant=commutant_basis(identity_channel(2)))
+
+
+def rotated_commutant(commutant, seed):
+    """The same commutant with its traceless elements rotated by a random real
+    orthogonal matrix: another orthonormal Hermitian basis, identity first."""
+    h = commutant.hermitian_basis
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((len(h) - 1,) * 2))
+    return CommutantBasis(commutant.dim, np.concatenate([h[:1], np.tensordot(q, h[1:], axes=1)]))
+
+
+class TestBasisFreeSplit:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: identity_channel(3),
+            lambda: GOLDEN_CASES["copies_3x2"](),
+            lambda: rotated_direct_sum((2, 2, 1), seed=41)[0],
+        ],
+        ids=["identity_d3", "copies_3x2", "shared_sum_2_2_1"],
+    )
+    def test_blocks_and_order_ignore_the_commutant_basis(self, make):
+        ch = make()
+        commutant = commutant_basis(ch)
+        ref = iris_decompose(ch, seed=3, commutant=commutant)
+        for seed in (1, 2):
+            dec = iris_decompose(ch, seed=3, commutant=rotated_commutant(commutant, seed))
+            assert dec.block_dims == ref.block_dims
+            for a, b in zip(dec.blocks, ref.blocks):
+                assert max_abs(a.projector() - b.projector()) <= 1e-10
 
 
 class TestRestrict:

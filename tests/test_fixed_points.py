@@ -22,8 +22,9 @@ from krausblocks import (
     restrict,
     unitary_channel,
 )
-from krausblocks.errors import NotADensityMatrix, NotFixed, NotNormalized
-from krausblocks.fixed_points import _commutant_gram, _commutant_kernel
+from krausblocks import fixed_points
+from krausblocks.errors import NotADensityMatrix, NotFixed, NotNormalized, ToleranceFailure
+from krausblocks.fixed_points import _commutant_gram, _commutant_kernel, _real_form
 from krausblocks.linalg import DEFAULT_TOL, max_abs, null_space
 
 from tests.util import (
@@ -101,6 +102,27 @@ class TestCommutantBasis:
         assert max_abs(t - np.eye(3)) > 5e-11 and max_abs(u - np.eye(3)) > 5e-11
         stack = commutator_stack(ch)
         assert max_abs(_commutant_gram(ch.kraus, t, u) - stack.conj().T @ stack) <= 1e-12
+
+    def test_real_form_is_the_commutator_norm_on_hermitian_matrices(self):
+        # the channel of the test above: T and U are off I by about 1e-10, a
+        # relative 1e-10 of the form, which the 1e-12 check resolves
+        base = random_unital_channel(3, 4, seed=8)
+        ch = KrausChannel(3, base.kraus * (1 + 1e-10 * np.arange(1, 5))[:, None, None])
+        t = sum(a.conj().T @ a for a in ch.kraus)
+        u = sum(a @ a.conj().T for a in ch.kraus)
+        g = _real_form(_commutant_gram(ch.kraus, t, u), 3)
+        rng = np.random.default_rng(12)
+        for _ in range(10):
+            x = random_hermitian(3, rng)
+            y = (x.real + x.imag).reshape(-1, order="F")  # X = sym(Y) + i antisym(Y)
+            want = sum(np.linalg.norm(a @ x - x @ a) ** 2 for a in ch.kraus)
+            assert abs(y @ g @ y - want) <= 1e-12 * want
+
+    def test_gram_above_its_bound_is_a_tolerance_failure(self, monkeypatch):
+        gram = fixed_points._commutant_gram
+        monkeypatch.setattr(fixed_points, "_commutant_gram", lambda *args: 10 * gram(*args))
+        with pytest.raises(ToleranceFailure):
+            commutant_basis(random_unital_channel(3, 3, seed=1))
 
     @pytest.mark.parametrize("name", KERNEL_CASES)
     def test_kernel_matches_stacked_null_space(self, name):

@@ -4,8 +4,13 @@ and the commutant projector of ``commutant_basis``.
 The recorded values guard refactors of the decomposition: every case must
 reproduce its block dimensions exactly and its block projectors to 1e-10.
 Degenerate cases (identity, dephasing, isomorphic copies) are included on
-purpose, since their blocks depend on the random fixed operators drawn
-during the split and so expose any change in the draws.
+purpose, since their blocks depend on the random fixed operator drawn
+during the split and so expose any change in the draw. That operator is
+the commutant projection of a seeded random Hermitian matrix, so the blocks
+and their order depend only on the commutant subspace and the seed: a new
+commutant solver that finds the same subspace must reproduce every case
+without re-recording. The basis inside a block is not recorded; it is set
+by rounding.
 
 The commutant projector is the orthogonal projector onto the span of the
 vectorized commutant, ``sum_j vec(H_j) vec(H_j)^dagger`` over the
