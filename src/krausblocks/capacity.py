@@ -28,13 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import KrausChannel
-from .errors import (
-    DimensionTooLarge,
-    EmptyBlockList,
-    InvalidAlpha,
-    InvalidParameter,
-    NonConvergence,
-)
+from .errors import EmptyBlockList, InvalidAlpha, InvalidParameter, NonConvergence
 from .linalg import DEFAULT_TOL, Tolerances, density_matrix, require_at_least, seeded_rng
 
 _LN2 = float(np.log(2.0))
@@ -335,10 +329,7 @@ def _state_ascent(
 
 
 def ent_assisted_capacity(
-    ch: KrausChannel,
-    tol: Tolerances = DEFAULT_TOL,
-    max_iters: int = 5000,
-    dim_cap: int = 6,
+    ch: KrausChannel, tol: Tolerances = DEFAULT_TOL, max_iters: int = 5000
 ) -> ChannelQuantity:
     """Entanglement-assisted classical capacity: the maximum quantum mutual
     information over input states.
@@ -349,8 +340,6 @@ def ent_assisted_capacity(
     ``tol.optimizer`` bits.
     """
     require_at_least("max_iters", max_iters, 0)
-    if ch.dim > dim_cap:
-        raise DimensionTooLarge(f"dim {ch.dim} exceeds the configured cap {dim_cap}")
     rho0 = np.eye(ch.dim, dtype=complex)[None] / ch.dim
     value, rho, gap, _ = _state_ascent(
         ch, rho0, include_input_entropy=True, gap_tol=tol.optimizer * 0.5, max_iters=max_iters

@@ -72,7 +72,10 @@ class KrausChannel:
     kraus: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "kraus", frozen(operator_stack(self.kraus)))
+        kraus = operator_stack(self.kraus)
+        if kraus.shape[1] != self.dim:
+            raise DimensionMismatch(f"Kraus operators act on dim {kraus.shape[1]}, not {self.dim}")
+        object.__setattr__(self, "kraus", frozen(kraus))
 
     @classmethod
     def from_kraus(cls, ops, tol: Tolerances = DEFAULT_TOL) -> "KrausChannel":

@@ -206,9 +206,10 @@ def _cmd_decompose(args, tol):
 
 
 def _cmd_restrict(args, tol):
+    require_at_least("--block", args.block, 0)  # before the channel is read
     ch, vdoc = _load_channel(args.channel, tol)
     dec = iris_decompose(ch, tol, seed=args.seed)
-    if not 0 <= args.block < dec.n_blocks:
+    if args.block >= dec.n_blocks:
         raise InvalidParameter(
             f"--block must be in [0, {dec.n_blocks - 1}] for this decomposition"
         )
@@ -428,15 +429,31 @@ _HANDLERS = {
 }
 
 
-def _error_report(command: str, exc: Exception, extra: dict | None = None) -> dict:
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "error": {"type": type(exc).__name__, "message": str(exc)},
-    }
-    if extra:
-        doc["error"].update(extra)
-    return doc
+def _error_report(command: str, exc: Exception) -> dict:
+    error = {"type": type(exc).__name__, "message": str(exc)}
+    if isinstance(exc, ParseError):
+        error["path"] = exc.path
+    elif isinstance(exc, ValidationError) and exc.report is not None:
+        error["validation"] = _validation_doc(exc.report)
+    return {"schema_version": SCHEMA_VERSION, "command": command, "error": error}
+
+
+_ANY_FAILURE = (KrausBlocksError, MemoryError, LinAlgError)
+
+# (exception classes, exit code, stderr label); the first row that matches wins
+_FAILURES = (
+    (ParseError, 2, "parse error"),
+    ((InvalidParameter, DimensionMismatch), 2, "error"),
+    ((ValidationError, InvalidMeasurement), 1, "validation failure"),
+    ((ToleranceFailure, NonConvergence, MultisetMismatch), 3, "tolerance failure"),
+    (_ANY_FAILURE, 3, "error"),
+)
+
+
+def _fail(command: str, exc: Exception, code: int, label: str) -> int:
+    print(dumps_report(_error_report(command, exc)))
+    print(f"{label}: {exc}", file=sys.stderr)
+    return code
 
 
 def run_command(argv) -> int:
@@ -449,41 +466,15 @@ def run_command(argv) -> int:
     try:
         tol = _tol(args)
     except ValueError as exc:
-        print(dumps_report(_error_report(command, exc)))
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(command, exc, 2, "error")
 
     try:
         for seed in getattr(args, "seeds", [getattr(args, "seed", 0)]):
             require_at_least("seed", seed, 0)  # before any document is read
         report, human, code = _HANDLERS[command](args, tol)
-    except ParseError as exc:
-        print(dumps_report(_error_report(command, exc, {"path": exc.path})))
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
-    except (InvalidParameter, DimensionMismatch) as exc:
-        print(dumps_report(_error_report(command, exc)))
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValidationError as exc:
-        extra = {}
-        if exc.report is not None:
-            extra["validation"] = _validation_doc(exc.report)
-        print(dumps_report(_error_report(command, exc, extra)))
-        print(f"validation failure: {exc}", file=sys.stderr)
-        return 1
-    except InvalidMeasurement as exc:
-        print(dumps_report(_error_report(command, exc)))
-        print(f"validation failure: {exc}", file=sys.stderr)
-        return 1
-    except (ToleranceFailure, NonConvergence, MultisetMismatch) as exc:
-        print(dumps_report(_error_report(command, exc)))
-        print(f"tolerance failure: {exc}", file=sys.stderr)
-        return 3
-    except (KrausBlocksError, MemoryError, LinAlgError) as exc:
-        print(dumps_report(_error_report(command, exc)))
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    except _ANY_FAILURE as exc:
+        code, label = next(row[1:] for row in _FAILURES if isinstance(exc, row[0]))
+        return _fail(command, exc, code, label)
 
     print(dumps_report(report))
     for line in human:

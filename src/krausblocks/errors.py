@@ -94,10 +94,6 @@ class EmptyBlockList(KrausBlocksError):
     """Block-combination formulas need at least one block value."""
 
 
-class DimensionTooLarge(KrausBlocksError):
-    """Input dimension exceeds the configured cap for this operation."""
-
-
 class NonConvergence(KrausBlocksError):
     """Iterative optimizer stalled above its tolerance."""
 

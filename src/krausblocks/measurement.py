@@ -4,7 +4,9 @@ A POVM element's statistics survive the channel for every input state exactly
 when the adjoint channel fixes the element, which in turn happens exactly when
 the element is a nonnegative combination of invariant-block projectors. For
 projective measurements this is equivalent to the measurement channel
-commuting with the channel under test.
+commuting with the channel under test. With ``L_P = conj(P) kron P``, the
+product ``L_P L_phi`` is the superoperator of the Kraus set ``{P A_i}`` (and
+``L_phi L_P`` that of ``{A_i P}``), so no Kronecker product is formed.
 """
 
 from __future__ import annotations
@@ -34,6 +36,26 @@ from .linalg import (
 )
 
 
+def _complete_family(dim: int, ops, family: str, noun: str, not_hermitian: str, check):
+    """One pass over a measurement's operators: each is ``dim x dim``, Hermitian
+    within 1e-10 (else ``not_hermitian`` is raised) and passes ``check(k, m,
+    earlier)``; together they sum to the identity within 1e-9."""
+    if not ops:
+        raise InvalidMeasurement(f"a {family} needs at least one {noun}")
+    mats = []
+    for k, op in enumerate(ops):
+        m = as_matrix(op)
+        if m.shape != (dim, dim):
+            raise DimensionMismatch(f"{noun} {k} is {m.shape}, expected {dim}x{dim}")
+        if max_abs(m - m.conj().T) > 1e-10:
+            raise InvalidMeasurement(not_hermitian.format(k=k))
+        check(k, m, mats)
+        mats.append(frozen(m))
+    if max_abs(sum(mats) - np.eye(dim)) > 1e-9:
+        raise InvalidMeasurement(f"{noun}s do not sum to the identity within 1e-9")
+    return tuple(mats)
+
+
 @dataclass(frozen=True, eq=False)
 class Povm:
     """Finite list of PSD elements summing to the identity."""
@@ -42,23 +64,13 @@ class Povm:
     elements: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        mats = []
-        total = np.zeros((self.dim, self.dim), dtype=complex)
-        if not self.elements:
-            raise InvalidMeasurement("a POVM needs at least one element")
-        for k, e in enumerate(self.elements):
-            m = as_matrix(e)
-            if m.shape != (self.dim, self.dim):
-                raise DimensionMismatch(f"element {k} is {m.shape}, expected {self.dim}x{self.dim}")
-            if max_abs(m - m.conj().T) > 1e-10:
-                raise InvalidMeasurement(f"element {k} is not Hermitian within 1e-10")
+        def psd(k, m, earlier):
             if float(np.linalg.eigvalsh((m + m.conj().T) / 2).min()) < -1e-10:
                 raise InvalidMeasurement(f"element {k} has an eigenvalue below -1e-10")
-            total += m
-            mats.append(frozen(m))
-        if max_abs(total - np.eye(self.dim)) > 1e-9:
-            raise InvalidMeasurement("elements do not sum to the identity within 1e-9")
-        object.__setattr__(self, "elements", tuple(mats))
+
+        mats = _complete_family(self.dim, self.elements, "POVM", "element",
+                                "element {k} is not Hermitian within 1e-10", psd)
+        object.__setattr__(self, "elements", mats)
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,29 +81,17 @@ class ProjectiveMeasurement:
     projectors: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        mats = []
-        total = np.zeros((self.dim, self.dim), dtype=complex)
-        if not self.projectors:
-            raise InvalidMeasurement("a projective measurement needs at least one projector")
-        for k, p in enumerate(self.projectors):
-            m = as_matrix(p)
-            if m.shape != (self.dim, self.dim):
-                raise DimensionMismatch(
-                    f"projector {k} is {m.shape}, expected {self.dim}x{self.dim}"
-                )
-            if max_abs(m - m.conj().T) > 1e-10 or max_abs(m @ m - m) > 1e-10:
+        def orthogonal_projector(k, m, earlier):
+            if max_abs(m @ m - m) > 1e-10:
                 raise InvalidMeasurement(f"projector {k} is not an orthogonal projector")
-            for kk, other in enumerate(mats):
+            for kk, other in enumerate(earlier):
                 if max_abs(other @ m) > 1e-10:
                     raise InvalidMeasurement(f"projectors {kk} and {k} are not orthogonal")
-            total += m
-            mats.append(frozen(m))
-        if max_abs(total - np.eye(self.dim)) > 1e-9:
-            raise InvalidMeasurement("projectors do not sum to the identity within 1e-9")
-        object.__setattr__(self, "projectors", tuple(mats))
 
-    def as_povm(self) -> Povm:
-        return Povm(dim=self.dim, elements=self.projectors)
+        mats = _complete_family(self.dim, self.projectors, "projective measurement",
+                                "projector", "projector {k} is not an orthogonal projector",
+                                orthogonal_projector)
+        object.__setattr__(self, "projectors", mats)
 
 
 def projective_channel(m: ProjectiveMeasurement) -> KrausChannel:
@@ -126,13 +126,15 @@ def projection_intertwines(
     """Check ``P phi(rho) P = phi(P rho P)`` for all rho, as superoperators.
 
     Equivalent to the range of P being an invariant subspace of the channel.
+    ``residual = max |L_P L_phi - L_phi L_P|``, computed in O(k d^4) as the
+    distance between the superoperators of ``{P A_i}`` and ``{A_i P}``.
     """
     p = _check_projector(pi, tol)
     if p.shape != (ch.dim, ch.dim):
         raise DimensionMismatch(f"projector is {p.shape}, channel dim is {ch.dim}")
-    l_pi = np.kron(p.conj(), p)
-    l_ch = ch.superoperator_matrix()
-    residual = max_abs(l_pi @ l_ch - l_ch @ l_pi)
+    left = KrausChannel(dim=ch.dim, kraus=p @ ch.kraus).superoperator_matrix()
+    right = KrausChannel(dim=ch.dim, kraus=ch.kraus @ p).superoperator_matrix()
+    residual = max_abs(left - right)
     return CommutationReport(commute=residual <= tol.residual, residual=residual)
 
 
@@ -148,16 +150,20 @@ def channels_commute(
     return CommutationReport(commute=residual <= tol.residual, residual=residual)
 
 
-def _check_psd(e, tol: Tolerances) -> np.ndarray:
+def _adjoint_image(ch: KrausChannel, e, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+    """Validate E as a PSD operator on the channel's space; return its
+    Hermitian part and ``phi^dagger`` of it."""
     m = as_matrix(e)
     if m.shape[0] != m.shape[1]:
         raise NotPSD("operator must be square")
     if max_abs(m - m.conj().T) > 1e-8:
         raise NotPSD("operator is not Hermitian within 1e-8")
-    h = (m + m.conj().T) / 2
-    if float(np.linalg.eigvalsh(h).min()) < -1e-8:
+    m = (m + m.conj().T) / 2
+    if float(np.linalg.eigvalsh(m).min()) < -1e-8:
         raise NotPSD("operator has an eigenvalue below -1e-8")
-    return h
+    if m.shape != (ch.dim, ch.dim):
+        raise DimensionMismatch(f"operator is {m.shape}, channel dim is {ch.dim}")
+    return m, ch.adjoint().apply(m)
 
 
 @dataclass(frozen=True)
@@ -174,10 +180,8 @@ def statistics_preserved(
     Operationalized exactly as the adjoint channel fixing E:
     ``residual = max |phi^dagger(E) - E|``.
     """
-    m = _check_psd(e, tol)
-    if m.shape != (ch.dim, ch.dim):
-        raise DimensionMismatch(f"operator is {m.shape}, channel dim is {ch.dim}")
-    residual = max_abs(ch.adjoint().apply(m) - m)
+    m, image = _adjoint_image(ch, e, tol)
+    residual = max_abs(image - m)
     return PreservationReport(preserved=residual <= tol.residual, residual=residual)
 
 
@@ -201,6 +205,40 @@ class StructuralFailure:
     witness_subspace: Subspace
 
 
+@dataclass(frozen=True, eq=False)
+class ElementReport:
+    preserved: bool
+    residual: float
+    structure: StructuralDecomposition | StructuralFailure
+
+
+def _element_report(ch: KrausChannel, e, tol: Tolerances) -> ElementReport:
+    """Validate E, decide its preservation, and give its spectral form."""
+    m, image = _adjoint_image(ch, e, tol)
+    residual = max_abs(image - m)
+    preserved = residual <= tol.residual
+    w, v = hermitian_eig(m, tol)
+    clusters = cluster_eigenvalues(w, tol.eigencluster)
+
+    terms = []
+    for idx in reversed(clusters):  # descending eigenvalue
+        sub = Subspace(ch.dim, v[:, idx])
+        if not is_invariant_subspace(ch, sub, tol).invariant:
+            if preserved:
+                raise ToleranceFailure(
+                    "element is preserved but one of its eigenspaces failed the "
+                    "invariance check; eigencluster tolerance is inconsistent"
+                )
+            return ElementReport(preserved, residual, StructuralFailure(witness_subspace=sub))
+        terms.append(StructuralTerm(weight=max(float(np.mean(w[idx])), 0.0), subspace=sub))
+    if not preserved:
+        raise ToleranceFailure(
+            "element is not preserved yet every eigenspace passed the invariance "
+            "check; tolerances are inconsistent"
+        )
+    return ElementReport(preserved, residual, StructuralDecomposition(terms=tuple(terms)))
+
+
 def povm_structural_decomposition(ch: KrausChannel, e, tol: Tolerances = DEFAULT_TOL):
     """Spectral form of a POVM element against the channel's block structure.
 
@@ -209,34 +247,7 @@ def povm_structural_decomposition(ch: KrausChannel, e, tol: Tolerances = DEFAULT
     element the first non-invariant eigenspace (scanning eigenvalues in
     descending order) is returned as a witness.
     """
-    m = _check_psd(e, tol)
-    if m.shape != (ch.dim, ch.dim):
-        raise DimensionMismatch(f"operator is {m.shape}, channel dim is {ch.dim}")
-    preserved = statistics_preserved(ch, m, tol).preserved
-    w, v = hermitian_eig(m, tol)
-    clusters = cluster_eigenvalues(w, tol.eigencluster)
-
-    if preserved:
-        terms = []
-        for idx in clusters:
-            sub = Subspace(ch.dim, v[:, idx])
-            if not is_invariant_subspace(ch, sub, tol).invariant:
-                raise ToleranceFailure(
-                    "element is preserved but one of its eigenspaces failed the "
-                    "invariance check; eigencluster tolerance is inconsistent"
-                )
-            terms.append(StructuralTerm(weight=max(float(np.mean(w[idx])), 0.0), subspace=sub))
-        terms.reverse()  # descending weight
-        return StructuralDecomposition(terms=tuple(terms))
-
-    for idx in reversed(clusters):  # descending eigenvalue
-        sub = Subspace(ch.dim, v[:, idx])
-        if not is_invariant_subspace(ch, sub, tol).invariant:
-            return StructuralFailure(witness_subspace=sub)
-    raise ToleranceFailure(
-        "element is not preserved yet every eigenspace passed the invariance "
-        "check; tolerances are inconsistent"
-    )
+    return _element_report(ch, e, tol).structure
 
 
 def violation_witness(ch: KrausChannel, e, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -246,22 +257,13 @@ def violation_witness(ch: KrausChannel, e, tol: Tolerances = DEFAULT_TOL) -> np.
     the achieved gap ``|tr(E rho) - tr(E phi(rho))|`` equals that eigenvalue's
     magnitude.
     """
-    m = _check_psd(e, tol)
-    report = statistics_preserved(ch, m, tol)
-    if report.preserved:
+    m, image = _adjoint_image(ch, e, tol)
+    diff = m - image
+    if max_abs(diff) <= tol.residual:
         raise NoViolation("element statistics are preserved; no witness exists")
-    diff = m - ch.adjoint().apply(m)
     w, v = hermitian_eig((diff + diff.conj().T) / 2, tol)
-    top = int(np.argmax(np.abs(w)))
-    x = v[:, top]
+    x = v[:, int(np.argmax(np.abs(w)))]
     return np.outer(x, x.conj())
-
-
-@dataclass(frozen=True, eq=False)
-class ElementReport:
-    preserved: bool
-    residual: float
-    structure: StructuralDecomposition | StructuralFailure
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,9 +277,7 @@ class MeasurementReport:
 
 
 def measurement_preserved(
-    ch: KrausChannel,
-    m: Povm | ProjectiveMeasurement,
-    tol: Tolerances = DEFAULT_TOL,
+    ch: KrausChannel, m: Povm | ProjectiveMeasurement, tol: Tolerances = DEFAULT_TOL
 ) -> MeasurementReport:
     """Aggregate the per-element checks over a measurement.
 
@@ -292,27 +292,15 @@ def measurement_preserved(
     if m.dim != ch.dim:
         raise DimensionMismatch(f"measurement dim {m.dim} != channel dim {ch.dim}")
     projective = isinstance(m, ProjectiveMeasurement)
-    elements = m.projectors if projective else m.elements
-
-    reports = []
-    for e in elements:
-        p = statistics_preserved(ch, e, tol)
-        reports.append(
-            ElementReport(
-                preserved=p.preserved,
-                residual=p.residual,
-                structure=povm_structural_decomposition(ch, e, tol),
-            )
-        )
+    reports = tuple(
+        _element_report(ch, e, tol) for e in (m.projectors if projective else m.elements)
+    )
     all_preserved = all(r.preserved for r in reports)
 
-    commute = None
-    ranges_invariant = None
+    commute = ranges_invariant = None
     if projective:
         commute = channels_commute(projective_channel(m), ch, tol)
-        ranges_invariant = all(
-            projection_intertwines(ch, p, tol).commute for p in m.projectors
-        )
+        ranges_invariant = all(projection_intertwines(ch, p, tol).commute for p in m.projectors)
         if all_preserved != ranges_invariant:
             raise ToleranceFailure(
                 "per-element preservation and projector-range invariance "
@@ -325,9 +313,4 @@ def measurement_preserved(
                 f"fails to commute (residual={commute.residual:.3e}); "
                 "tolerances are inconsistent"
             )
-    return MeasurementReport(
-        elements=tuple(reports),
-        all_preserved=all_preserved,
-        commute=commute,
-        ranges_invariant=ranges_invariant,
-    )
+    return MeasurementReport(reports, all_preserved, commute, ranges_invariant)

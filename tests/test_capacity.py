@@ -21,7 +21,6 @@ from krausblocks import (
     unitary_channel,
 )
 from krausblocks.errors import (
-    DimensionTooLarge,
     EmptyBlockList,
     InvalidAlpha,
     InvalidParameter,
@@ -261,10 +260,6 @@ class TestEntAssistedCapacity:
         for _ in range(20):
             rho = random_density(3, rng)
             assert q.value >= quantum_mutual_information(ch, rho) - 2e-4
-
-    def test_dimension_cap(self):
-        with pytest.raises(DimensionTooLarge):
-            ent_assisted_capacity(identity_channel(3), dim_cap=2)
 
 
 class TestCoherentInformation:

@@ -147,6 +147,10 @@ class TestStorage:
         stack[0] = 0.0
         assert max_abs(ch.kraus[0] - ops[0]) == 0.0
 
+    def test_dim_must_match_the_stack(self):
+        with pytest.raises(DimensionMismatch):
+            KrausChannel(dim=5, kraus=np.eye(3)[None])
+
     def test_contractions_match_per_operator_loops(self):
         ch = random_unital_channel(3, 4, seed=8)
         rng = np.random.default_rng(2)

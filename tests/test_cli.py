@@ -319,6 +319,14 @@ class TestArgumentRanges:
         assert "Traceback" not in err
         assert len(calls) == 0
 
+    def test_negative_block_before_reading(self, tmp_path, monkeypatch):
+        calls = count_calls(monkeypatch, fixed_points, "commutant_basis")
+        code, out, err = run(["restrict", str(tmp_path / "missing.json"), "--block", "-1"])
+        assert code == 2
+        assert strict_json(out)["error"]["type"] == "InvalidParameter"
+        assert "Traceback" not in err
+        assert len(calls) == 0
+
     def test_gen_negative_seed(self):
         code, out, err = run(["gen", "--kind", "random_unital", "--dim", "3", "--seed", "-1"])
         assert code == 2
@@ -546,6 +554,16 @@ class TestCapacity:
         # identity splits into two rays, each with zero assisted capacity
         assert rep["quantity"]["per_block"] == [0.0, 0.0]
         assert rep["quantity"]["combined_bits"] == pytest.approx(1.0)
+
+    def test_ce_irreducible_dim_8(self, tmp_path):
+        code, doc, _ = run(["gen", "--kind", "random_unital", "--dim", "8", "--seed", "1"])
+        assert code == 0
+        path = write(tmp_path, "ch.json", doc)
+        code, out, _ = run(["capacity", path, "--quantity", "ce"])
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["block_dims"] == [8]
+        assert 0.0 < rep["quantity"]["combined_bits"] <= 2 * np.log2(8)
 
     def test_coh_determinism(self, tmp_path):
         ch, _, _ = rotated_direct_sum((1, 2), seed=34)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from krausblocks import (
+    KrausChannel,
     Povm,
     ProjectiveMeasurement,
     StructuralDecomposition,
@@ -94,6 +95,23 @@ class TestIntertwining:
     def test_rejects_non_projector(self):
         with pytest.raises(NotAProjector):
             projection_intertwines(identity_channel(2), np.diag([0.5, 0.5]))
+
+    @pytest.mark.parametrize("kind", ["unitary", "random", "depolarizing"])
+    @pytest.mark.parametrize("aligned", [True, False], ids=["aligned", "random_p"])
+    def test_residual_is_the_kron_commutator(self, kind, aligned):
+        # k = 1, 3 and d^2 Kraus operators, against the d^2 x d^2 products
+        rng = np.random.default_rng(17)
+        ch, _, projectors = rotated_direct_sum((2, 3), seed=40)
+        if kind == "unitary":
+            ch = unitary_channel(ch.kraus[0] * np.sqrt(3))
+        elif kind == "depolarizing":
+            ch = depolarizing_channel(5, 0.3)
+        assert ch.n_kraus == {"unitary": 1, "random": 3, "depolarizing": 25}[kind]
+        p = projectors[0] if aligned else random_subspace(5, 2, rng).projector()
+        l_p = np.kron(p.conj(), p)
+        l_ch = ch.superoperator_matrix()
+        expected = max_abs(l_p @ l_ch - l_ch @ l_p)
+        assert abs(projection_intertwines(ch, p).residual - expected) <= 1e-12
 
     def test_matches_invariance_flag(self):
         rng = np.random.default_rng(3)
@@ -272,6 +290,27 @@ class TestMeasurementPreserved:
             assert rep.all_preserved == rep.ranges_invariant
             if rep.ranges_invariant:
                 assert rep.commute.commute
+
+    @pytest.mark.parametrize("projective", [True, False], ids=["projective", "povm"])
+    def test_one_adjoint_per_element(self, monkeypatch, projective):
+        ch, _, projectors = rotated_direct_sum((2, 3), seed=21)
+        if projective:
+            m = ProjectiveMeasurement(5, tuple(projectors))
+        else:
+            m = Povm(5, (0.5 * projectors[0] + 0.1 * projectors[1],
+                         0.5 * projectors[0] + 0.9 * projectors[1],
+                         0.0 * projectors[0]))
+        calls = []
+        real = KrausChannel.adjoint
+
+        def counting(self):
+            calls.append(1)
+            return real(self)
+
+        monkeypatch.setattr(KrausChannel, "adjoint", counting)
+        rep = measurement_preserved(ch, m)
+        assert rep.all_preserved
+        assert len(calls) == len(rep.elements)
 
     def test_structural_equivalence_on_constructed_elements(self):
         ch, _, _ = rotated_direct_sum((2, 3), seed=77)
