@@ -32,6 +32,8 @@ from .errors import EmptyBlockList, InvalidAlpha, InvalidParameter, NonConvergen
 from .linalg import DEFAULT_TOL, Tolerances, density_matrix, require_at_least, seeded_rng
 
 _LN2 = float(np.log(2.0))
+# This floor and the optimizers' step-size, Armijo and stall constants set their
+# paths, which the golden optimizer corpus pins: no verdict, so not ``Tolerances``.
 _EIG_FLOOR = 1e-18
 
 QUANTITY_KINDS = (

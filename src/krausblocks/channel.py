@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidParameter, ValidationError
+from .errors import DimensionMismatch, InvalidParameter, NotUnitary, ValidationError
 from .linalg import (
     DEFAULT_TOL,
     Tolerances,
@@ -22,7 +22,7 @@ from .linalg import (
     max_abs,
     operator_stack,
     require_at_least,
-    require_unitary,
+    require_orthonormal,
     seeded_rng,
 )
 
@@ -62,7 +62,7 @@ class KrausChannel:
     """A unital quantum operation given by its Kraus operators.
 
     ``kraus`` is stored as one read-only complex array of shape
-    ``(n_kraus, dim, dim)``, whatever sequence of matrices it was built from;
+    ``(n_kraus, dim, dim)``, uncopied when it is given as one, else copied;
     ``kraus[i]`` is the operator ``A_i``. Construct through :meth:`from_kraus`
     (or the generator functions below), which reject operator sets that are
     not unital and trace preserving.
@@ -112,7 +112,9 @@ class KrausChannel:
         The adjoint of a unital trace-preserving map is again unital and
         trace preserving, so this validates cleanly.
         """
-        return KrausChannel(dim=self.dim, kraus=self.kraus.conj().transpose(0, 2, 1))
+        kraus = self.kraus.conj().transpose(0, 2, 1)
+        kraus.setflags(write=False)  # the conjugate is this channel's own copy
+        return KrausChannel(dim=self.dim, kraus=kraus)
 
     def superoperator_matrix(self) -> np.ndarray:
         """The ``dim^2 x dim^2`` matrix acting on column-stacked operators."""
@@ -136,7 +138,7 @@ class KrausChannel:
             raise DimensionMismatch(
                 f"remix unitary is {k}x{k} but the channel has {self.n_kraus} Kraus operators"
             )
-        require_unitary(um, tol)
+        require_orthonormal(um, tol, NotUnitary)
         # the zero-padded operators add nothing, so only n_kraus rows of u enter
         mixed = np.tensordot(um[: self.n_kraus], self.kraus, axes=(0, 0))
         return KrausChannel.from_kraus(mixed, tol)
@@ -183,7 +185,7 @@ def direct_sum(
         u = as_matrix(conjugating_unitary)
         if u.shape != (d, d):
             raise DimensionMismatch(f"conjugating unitary must be {d}x{d}")
-        require_unitary(u, tol)
+        require_orthonormal(u, tol, NotUnitary)
         ops = u @ ops @ u.conj().T
     return KrausChannel.from_kraus(ops, tol)
 
@@ -210,7 +212,7 @@ def unitary_channel(u, tol: Tolerances = DEFAULT_TOL) -> KrausChannel:
     um = as_matrix(u)
     if um.shape[0] != um.shape[1]:
         raise DimensionMismatch("unitary must be square")
-    require_unitary(um, tol)
+    require_orthonormal(um, tol, NotUnitary)
     return KrausChannel.from_kraus([um], tol)
 
 

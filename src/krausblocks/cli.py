@@ -1,8 +1,9 @@
 """Command-line front end.
 
 One machine-readable JSON report goes to stdout, a short human summary to
-stderr. Exit codes: 0 success, 1 channel-validation failure, 2 parse or
-argument error (a dimension mismatch between input documents included), 3
+stderr. Exit codes: 0 success, 1 an input document that fails validation (a
+channel, measurement, ``--state`` density matrix or ``--unitary``), 2 parse
+or argument error (a dimension mismatch between input documents included), 3
 tolerance, convergence or numerical failure. Reports embed the schema
 version and tolerances and are byte-identical for identical inputs.
 """
@@ -30,7 +31,9 @@ from .errors import (
     KrausBlocksError,
     MultisetMismatch,
     NonConvergence,
+    NotADensityMatrix,
     NotFixed,
+    NotUnitary,
     ParseError,
     ToleranceFailure,
     ValidationError,
@@ -102,7 +105,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--restarts", type=int, default=32)
     p.add_argument("--values", type=float, nargs="+", help="per-block bits for combine")
-    p.add_argument("--max-iters", type=int, default=5000)
+    # None keeps each quantity's library default
+    p.add_argument("--max-iters", type=int, help="iteration cap for ce and coh")
     add_common(p)
 
     p = sub.add_parser("gen", help="write a standard-channel document")
@@ -297,7 +301,7 @@ def _cmd_fixed_states(args, tol):
 
 def _cmd_check_measurement(args, tol):
     ch, vdoc = _load_channel(args.channel, tol)
-    m = parse_measurement(_read(args.measurement))
+    m = parse_measurement(_read(args.measurement), tol)
     report = measurement_preserved(ch, m, tol)
     out = _report_head("check-measurement", tol)
     out["validation"] = vdoc
@@ -330,7 +334,12 @@ def _cmd_check_measurement(args, tol):
 
 def _cmd_capacity(args, tol):
     require_at_least("--restarts", args.restarts, 1)  # before the channel is read
-    require_at_least("--max-iters", args.max_iters, 0)
+    iters = {}
+    if args.max_iters is not None:
+        if args.quantity not in ("ce", "coh"):
+            raise InvalidParameter("--max-iters applies only to --quantity ce and coh")
+        require_at_least("--max-iters", args.max_iters, 0)
+        iters["max_iters"] = args.max_iters
     out = _report_head("capacity", tol)
     if args.quantity == "combine":
         if not args.values:
@@ -362,9 +371,9 @@ def _cmd_capacity(args, tol):
         if kind == "min_output_renyi":
             q = min_output_renyi(sub, args.alpha, restarts=args.restarts, seed=args.seed, tol=tol)
         elif kind == "ent_assisted_capacity":
-            q = ent_assisted_capacity(sub, tol, max_iters=args.max_iters)
+            q = ent_assisted_capacity(sub, tol, **iters)
         else:
-            q = coherent_information(sub, restarts=args.restarts, seed=args.seed, tol=tol)
+            q = coherent_information(sub, restarts=args.restarts, seed=args.seed, tol=tol, **iters)
         per_block.append(q.value)
     combined = reduce_over_blocks(kind, per_block)
     qdoc = {
@@ -444,7 +453,8 @@ _ANY_FAILURE = (KrausBlocksError, MemoryError, LinAlgError)
 _FAILURES = (
     (ParseError, 2, "parse error"),
     ((InvalidParameter, DimensionMismatch), 2, "error"),
-    ((ValidationError, InvalidMeasurement), 1, "validation failure"),
+    ((ValidationError, InvalidMeasurement, NotADensityMatrix, NotUnitary), 1,
+     "validation failure"),
     ((ToleranceFailure, NonConvergence, MultisetMismatch), 3, "tolerance failure"),
     (_ANY_FAILURE, 3, "error"),
 )

@@ -21,7 +21,6 @@ from .errors import (
     DimensionMismatch,
     MultisetMismatch,
     NotInvariant,
-    NotOrthonormal,
     ToleranceFailure,
 )
 from .fixed_points import CommutantBasis, commutant_basis
@@ -34,6 +33,7 @@ from .linalg import (
     hermitian_eig,
     max_abs,
     orthonormal_complement,
+    require_orthonormal,
     seeded_rng,
 )
 
@@ -53,9 +53,7 @@ class Subspace:
             )
         if b.shape[1] < 1 or b.shape[1] > self.ambient_dim:
             raise DimensionMismatch(f"basis must have between 1 and {self.ambient_dim} columns")
-        dev = max_abs(b.conj().T @ b - np.eye(b.shape[1]))
-        if dev > 1e-10:
-            raise NotOrthonormal(f"max |B^dagger B - I| = {dev:.3e}")
+        require_orthonormal(b, DEFAULT_TOL)
         object.__setattr__(self, "basis", frozen(b))
 
     @property
@@ -75,7 +73,7 @@ class Subspace:
         if v.ndim == 1:
             v = v[:, None]
         q, r = np.linalg.qr(v)
-        keep = np.abs(np.diagonal(r)) > 1e-12 * max(1.0, max_abs(r))
+        keep = np.abs(np.diagonal(r)) > DEFAULT_TOL.nullspace * max(1.0, max_abs(r))
         return cls(v.shape[0], q[:, keep])
 
 
@@ -95,18 +93,15 @@ class IrisDecomposition:
             raise DimensionMismatch("one certificate per block required")
         if any(c != 1 for c in self.irreducibility_certificates):
             raise ToleranceFailure("every block must certify a commutant count of 1")
-        total = 0
-        for i, s in enumerate(self.blocks):
-            if s.ambient_dim != self.ambient_dim:
-                raise DimensionMismatch("all blocks must live in the same ambient space")
-            total += s.dim
-            for t in self.blocks[:i]:
-                if max_abs(t.basis.conj().T @ s.basis) > 1e-9:
-                    raise NotOrthonormal("blocks are not pairwise orthogonal within 1e-9")
+        if any(s.ambient_dim != self.ambient_dim for s in self.blocks):
+            raise DimensionMismatch("all blocks must live in the same ambient space")
+        total = sum(s.dim for s in self.blocks)
         if total != self.ambient_dim:
             raise DimensionMismatch(
                 f"block dimensions sum to {total}, ambient dim is {self.ambient_dim}"
             )
+        # pairwise orthogonal blocks: their bases together are orthonormal
+        require_orthonormal(np.concatenate([s.basis for s in self.blocks], axis=1), DEFAULT_TOL)
 
     @property
     def n_blocks(self) -> int:
@@ -203,7 +198,7 @@ def _split(commutant: CommutantBasis, rng: np.random.Generator, tol: Tolerances)
         sigma = commutant.project(x - np.trace(x) / d * np.eye(d))  # traceless: I is fixed
         w, v = hermitian_eig(sigma / max_abs(sigma), tol)
         bases = [v[:, idx] for idx in cluster_eigenvalues(w, tol.eigencluster)]
-        if all(commutant.is_scalar_on(b) for b in bases):
+        if all(commutant.is_scalar_on(b, tol) for b in bases):
             return bases
     raise ToleranceFailure(
         f"could not split a reducible space: {_MAX_DRAWS} random fixed operators each merged "

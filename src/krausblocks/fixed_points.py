@@ -28,9 +28,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from .decomposition import IrisDecomposition
 
 
-_NEGLIGIBLE_NORM = 1e-7  # Frobenius norm at or below which a remainder counts as zero
-
-
 @dataclass(frozen=True, eq=False)
 class CommutantBasis:
     """Orthonormal Hermitian basis of the fixed-point set.
@@ -47,16 +44,16 @@ class CommutantBasis:
     def count(self) -> int:
         return len(self.hermitian_basis)
 
-    def is_scalar_on(self, basis) -> bool:
+    def is_scalar_on(self, basis, tol: Tolerances = DEFAULT_TOL) -> bool:
         """Irreducibility certificate of the span of the orthonormal columns B of
         ``basis``, whose projector must lie in this algebra (e.g. an eigenspace
         of an element): every ``B^dagger H B`` is a scalar up to a Frobenius
-        norm of ``_NEGLIGIBLE_NORM``."""
+        norm of ``tol.eigencluster``, the width the split clusters at."""
         b = as_matrix(basis)
         c = b.conj().T @ self.hermitian_basis @ b
         scalars = np.trace(c, axis1=1, axis2=2)[:, None, None] / b.shape[1]
         traceless = np.linalg.norm(c - scalars * np.eye(b.shape[1]), axis=(1, 2))
-        return bool(np.all(traceless <= _NEGLIGIBLE_NORM))
+        return bool(np.all(traceless <= tol.eigencluster))
 
     def project(self, sigma) -> np.ndarray:
         """Orthogonal projection of a Hermitian operator onto the fixed set."""
@@ -203,8 +200,8 @@ def fixed_pure_state_check(
     if v.shape != (ch.dim,):
         raise DimensionMismatch(f"vector has length {v.size}, channel dim is {ch.dim}")
     nrm = float(np.linalg.norm(v))
-    if abs(nrm - 1.0) > 1e-10:
-        raise NotNormalized(f"|x| = {nrm:.12f} is not 1 within 1e-10")
+    if abs(nrm - 1.0) > tol.residual:
+        raise NotNormalized(f"|x| = {nrm:.12f} is not 1 within tol.residual")
     av = ch.kraus @ v
     lam = av @ v.conj()
     ok = bool(np.all(np.linalg.norm(av - lam[:, None] * v, axis=1) <= tol.residual))
@@ -241,15 +238,15 @@ def classify_fixed_state(
     """Fit a fixed density matrix as ``sum_j c_j P_j / dim(S_j)``.
 
     The block projectors are orthogonal, so the least-squares weights are
-    ``c_j = tr(P_j rho)``. Weights must be nonnegative (within 1e-10, then
-    clamped); a fit residual above ``tol.residual`` yields a
+    ``c_j = tr(P_j rho)``. Weights must be nonnegative (within ``tol.residual``,
+    then clamped); a fit residual above ``tol.residual`` yields a
     :class:`DegenerateFixedState` instead of an error, projected with the
     commutant the decomposition was split from when it records one.
     """
     r = as_matrix(rho)
     if r.shape != (ch.dim, ch.dim):
         raise DimensionMismatch(f"state is {r.shape}, channel dim is {ch.dim}")
-    density_matrix(r)
+    density_matrix(r, tol)
 
     report = is_fixed(ch, r, tol)
     if not report.is_fixed:
@@ -266,7 +263,7 @@ def classify_fixed_state(
         weights.append(c)
         fit += (c / block.dim) * p
     residual = max_abs(r - fit)
-    if residual <= tol.residual and all(c >= -1e-10 for c in weights):
+    if residual <= tol.residual and all(c >= -tol.residual for c in weights):
         clamped = tuple(max(c, 0.0) for c in weights)
         return BlockMixture(weights=clamped, residual=residual)
     basis = decomposition.commutant or commutant_basis(ch, tol)

@@ -8,12 +8,12 @@ function is pure and safe for concurrent use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import (
-    DimensionMismatch, InvalidParameter, NotADensityMatrix, NotHermitian, NotOrthonormal, NotUnitary
+    DimensionMismatch, InvalidParameter, NotADensityMatrix, NotHermitian, NotOrthonormal, NotPSD
 )
 
 
@@ -21,10 +21,10 @@ from .errors import (
 class Tolerances:
     """Numerical thresholds shared by every module.
 
-    hermitian: allowed max-entry deviation in ``M - M^†`` checks.
-    nullspace: relative singular-value cutoff for kernel extraction.
-    eigencluster: width for grouping near-degenerate eigenvalues.
-    residual: operator-identity checks (trace preservation, fixing, ...).
+    hermitian: relative max-entry deviation in ``M - M^†`` (:func:`hermitian_part`).
+    nullspace: relative singular-value cutoff for kernel extraction and rank.
+    eigencluster: width for grouping near-degenerate eigenvalues into blocks.
+    residual: operator-identity checks (unitality, fixing, ...) and :func:`psd_part`.
     optimizer: convergence target of the entropy optimizers, in bits.
     """
 
@@ -35,8 +35,7 @@ class Tolerances:
     optimizer: float = 1e-4
 
     def __post_init__(self):
-        for name in ("hermitian", "nullspace", "eigencluster", "residual", "optimizer"):
-            value = getattr(self, name)
+        for name, value in asdict(self).items():
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"tolerance {name!r} must be finite and strictly positive")
 
@@ -72,51 +71,61 @@ def max_abs(m) -> float:
     return float(np.max(np.abs(a))) if a.size else 0.0
 
 
-def frozen(a: np.ndarray) -> np.ndarray:
-    """Return a read-only copy, used to keep stored values immutable."""
+def frozen(a) -> np.ndarray:
+    """Read-only complex ``a``, copied unless it already is a read-only complex array."""
+    if isinstance(a, np.ndarray) and a.dtype == complex and not a.flags.writeable:
+        return a
     out = np.array(a, dtype=complex, copy=True)
     out.setflags(write=False)
     return out
 
 
-def require_unitary(u: np.ndarray, tol: Tolerances) -> None:
-    """Raise NotUnitary when ``max |U^dagger U - I|`` exceeds ``tol.residual``."""
-    dev = max_abs(u.conj().T @ u - np.eye(u.shape[0]))
+def require_orthonormal(b: np.ndarray, tol: Tolerances, error=NotOrthonormal) -> None:
+    """Raise ``error`` when ``max |B^dagger B - I|`` exceeds ``tol.residual``: the
+    one check of orthonormal columns, and of a unitary when B is square."""
+    dev = max_abs(b.conj().T @ b - np.eye(b.shape[1]))
     if dev > tol.residual:
-        raise NotUnitary(f"max |U^dagger U - I| = {dev:.3e}")
+        raise error(f"max |B^dagger B - I| = {dev:.3e}")
 
 
-def density_matrix(rho) -> np.ndarray:
-    """Hermitian part of ``rho``; NotADensityMatrix unless ``rho`` is Hermitian,
-    positive semidefinite and of unit trace, each within 1e-8."""
-    r = as_matrix(rho)
-    if r.shape[0] != r.shape[1]:
-        raise NotADensityMatrix("state must be square")
-    if max_abs(r - r.conj().T) > 1e-8:
-        raise NotADensityMatrix("state is not Hermitian within 1e-8")
-    h = (r + r.conj().T) / 2
+def hermitian_part(m, tol: Tolerances, error=NotHermitian, name="matrix") -> np.ndarray:
+    """``(M + M^dagger) / 2`` of a square M, the one Hermiticity check: raises ``error``
+    about ``name`` unless ``max |M - M^dagger| <= tol.hermitian * max(1, max |M|)``."""
+    a = as_matrix(m)
+    if a.shape[0] != a.shape[1]:
+        raise DimensionMismatch(f"{name} is {a.shape[0]}x{a.shape[1]}, not square")
+    dev = max_abs(a - a.conj().T)
+    if dev > tol.hermitian * max(1.0, max_abs(a)):
+        raise error(f"{name} is not Hermitian: max |M - M^dagger| = {dev:.3e}")
+    return (a + a.conj().T) / 2
+
+
+def psd_part(m, tol: Tolerances, error=NotPSD, name="matrix") -> tuple[np.ndarray, np.ndarray]:
+    """:func:`hermitian_part` of M and its ascending eigenvalues, the one PSD check:
+    raises ``error`` unless the smallest eigenvalue is at least ``-tol.residual``."""
+    h = hermitian_part(m, tol, error, name)
     w = np.linalg.eigvalsh(h)
-    if float(w[0]) < -1e-8:
-        raise NotADensityMatrix(f"minimum eigenvalue {w[0]:.3e} is below -1e-8")
-    if abs(float(np.sum(w)) - 1.0) > 1e-8:
-        raise NotADensityMatrix(f"trace is {np.sum(w):.10f}, not 1 within 1e-8")
+    if float(w[0]) < -tol.residual:
+        raise error(f"{name} has minimum eigenvalue {w[0]:.3e}, below -tol.residual")
+    return h, w
+
+
+def density_matrix(rho, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """Hermitian part of ``rho``; NotADensityMatrix unless ``rho`` passes
+    :func:`psd_part` and its trace is 1 within ``tol.residual``."""
+    h, w = psd_part(rho, tol, NotADensityMatrix, "state")
+    if abs(float(np.sum(w)) - 1.0) > tol.residual:
+        raise NotADensityMatrix(f"trace is {np.sum(w):.10f}, not 1 within tol.residual")
     return h
 
 
 def hermitian_eig(m, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix (:func:`hermitian_part`).
 
     Returns ascending real eigenvalues and an orthonormal eigenvector
     matrix (columns). Raises NotHermitian / DimensionMismatch.
     """
-    a = as_matrix(m)
-    if a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"matrix is {a.shape[0]}x{a.shape[1]}, not square")
-    dev = max_abs(a - a.conj().T)
-    if dev > tol.hermitian * max(1.0, max_abs(a)):
-        raise NotHermitian(f"max |M - M^dagger| = {dev:.3e} exceeds tolerance")
-    w, v = np.linalg.eigh((a + a.conj().T) / 2.0)
-    return w, v
+    return np.linalg.eigh(hermitian_part(m, tol))
 
 
 def null_space(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -143,10 +152,10 @@ def null_space(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 def orthonormal_complement(basis, ambient_dim: int) -> np.ndarray:
     """Orthonormal basis of the orthogonal complement of ``span(basis)``.
 
-    ``basis`` holds orthonormal columns in a space of dimension
-    ``ambient_dim``; the union of input and output columns is an
-    orthonormal basis of the whole space. The output is the trailing columns
-    of the complete QR factor of ``basis``.
+    ``basis`` holds orthonormal columns (checked against ``DEFAULT_TOL``) in a
+    space of dimension ``ambient_dim``; the union of input and output columns
+    is an orthonormal basis of the whole space. The output is the trailing
+    columns of the complete QR factor of ``basis``.
     """
     b = np.asarray(basis, dtype=complex)
     if b.ndim == 1:
@@ -159,9 +168,7 @@ def orthonormal_complement(basis, ambient_dim: int) -> np.ndarray:
         raise DimensionMismatch("more columns than the ambient dimension")
     if b.shape[1] == 0:
         return np.eye(ambient_dim, dtype=complex)
-    gram_dev = max_abs(b.conj().T @ b - np.eye(b.shape[1]))
-    if gram_dev > 1e-10:
-        raise NotOrthonormal(f"max |B^dagger B - I| = {gram_dev:.3e}")
+    require_orthonormal(b, DEFAULT_TOL)
     return np.linalg.qr(b, mode="complete")[0][:, b.shape[1]:]
 
 

@@ -11,7 +11,7 @@ product ``L_P L_phi`` is the superoperator of the Kraus set ``{P A_i}`` (and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -32,28 +32,37 @@ from .linalg import (
     cluster_eigenvalues,
     frozen,
     hermitian_eig,
+    hermitian_part,
     max_abs,
+    psd_part,
 )
 
 
-def _complete_family(dim: int, ops, family: str, noun: str, not_hermitian: str, check):
-    """One pass over a measurement's operators: each is ``dim x dim``, Hermitian
-    within 1e-10 (else ``not_hermitian`` is raised) and passes ``check(k, m,
-    earlier)``; together they sum to the identity within 1e-9."""
+def _complete_family(dim: int, ops, tol: Tolerances, family: str, noun: str, check):
+    """One pass over a measurement's operators: each is ``dim x dim`` and passes
+    ``check(k, m, earlier)``; together they sum to the identity within
+    ``tol.residual``."""
     if not ops:
         raise InvalidMeasurement(f"a {family} needs at least one {noun}")
     mats = []
     for k, op in enumerate(ops):
-        m = as_matrix(op)
+        m = frozen(op)
         if m.shape != (dim, dim):
             raise DimensionMismatch(f"{noun} {k} is {m.shape}, expected {dim}x{dim}")
-        if max_abs(m - m.conj().T) > 1e-10:
-            raise InvalidMeasurement(not_hermitian.format(k=k))
         check(k, m, mats)
-        mats.append(frozen(m))
-    if max_abs(sum(mats) - np.eye(dim)) > 1e-9:
-        raise InvalidMeasurement(f"{noun}s do not sum to the identity within 1e-9")
+        mats.append(m)
+    if max_abs(sum(mats) - np.eye(dim)) > tol.residual:
+        raise InvalidMeasurement(f"{noun}s do not sum to the identity within tol.residual")
     return tuple(mats)
+
+
+def _projector(p, tol: Tolerances, error, name: str) -> np.ndarray:
+    """Check P as an orthogonal projector: Hermitian (:func:`hermitian_part`)
+    and ``max |P^2 - P| <= tol.residual``; returns P."""
+    hermitian_part(p, tol, error, name)
+    if max_abs(p @ p - p) > tol.residual:
+        raise error(f"{name} is not idempotent")
+    return p
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,14 +71,13 @@ class Povm:
 
     dim: int
     elements: tuple[np.ndarray, ...]
+    tol: InitVar[Tolerances] = DEFAULT_TOL
 
-    def __post_init__(self):
+    def __post_init__(self, tol):
         def psd(k, m, earlier):
-            if float(np.linalg.eigvalsh((m + m.conj().T) / 2).min()) < -1e-10:
-                raise InvalidMeasurement(f"element {k} has an eigenvalue below -1e-10")
+            psd_part(m, tol, InvalidMeasurement, f"element {k}")
 
-        mats = _complete_family(self.dim, self.elements, "POVM", "element",
-                                "element {k} is not Hermitian within 1e-10", psd)
+        mats = _complete_family(self.dim, self.elements, tol, "POVM", "element", psd)
         object.__setattr__(self, "elements", mats)
 
 
@@ -79,39 +87,27 @@ class ProjectiveMeasurement:
 
     dim: int
     projectors: tuple[np.ndarray, ...]
+    tol: InitVar[Tolerances] = DEFAULT_TOL
 
-    def __post_init__(self):
+    def __post_init__(self, tol):
         def orthogonal_projector(k, m, earlier):
-            if max_abs(m @ m - m) > 1e-10:
-                raise InvalidMeasurement(f"projector {k} is not an orthogonal projector")
+            _projector(m, tol, InvalidMeasurement, f"projector {k}")
             for kk, other in enumerate(earlier):
-                if max_abs(other @ m) > 1e-10:
+                if max_abs(other @ m) > tol.residual:
                     raise InvalidMeasurement(f"projectors {kk} and {k} are not orthogonal")
 
-        mats = _complete_family(self.dim, self.projectors, "projective measurement",
-                                "projector", "projector {k} is not an orthogonal projector",
-                                orthogonal_projector)
+        mats = _complete_family(self.dim, self.projectors, tol, "projective measurement",
+                                "projector", orthogonal_projector)
         object.__setattr__(self, "projectors", mats)
 
 
 def projective_channel(m: ProjectiveMeasurement) -> KrausChannel:
     """The measurement channel ``rho -> sum_k P_k rho P_k``.
 
-    Projectors are self-adjoint and complete, so this is unital and trace
-    preserving by construction.
+    The measurement checked its projectors self-adjoint and complete, so this
+    is unital and trace preserving by construction, with no second check.
     """
-    return KrausChannel.from_kraus(list(m.projectors))
-
-
-def _check_projector(pi, tol: Tolerances) -> np.ndarray:
-    p = as_matrix(pi)
-    if p.shape[0] != p.shape[1]:
-        raise NotAProjector("projector must be square")
-    if max_abs(p - p.conj().T) > tol.hermitian * max(1.0, max_abs(p)):
-        raise NotAProjector("matrix is not Hermitian")
-    if max_abs(p @ p - p) > max(tol.residual, 1e-10):
-        raise NotAProjector("matrix is not idempotent")
-    return p
+    return KrausChannel(m.dim, m.projectors)
 
 
 @dataclass(frozen=True)
@@ -129,7 +125,7 @@ def projection_intertwines(
     ``residual = max |L_P L_phi - L_phi L_P|``, computed in O(k d^4) as the
     distance between the superoperators of ``{P A_i}`` and ``{A_i P}``.
     """
-    p = _check_projector(pi, tol)
+    p = _projector(as_matrix(pi), tol, NotAProjector, "matrix")
     if p.shape != (ch.dim, ch.dim):
         raise DimensionMismatch(f"projector is {p.shape}, channel dim is {ch.dim}")
     left = KrausChannel(dim=ch.dim, kraus=p @ ch.kraus).superoperator_matrix()
@@ -150,20 +146,12 @@ def channels_commute(
     return CommutationReport(commute=residual <= tol.residual, residual=residual)
 
 
-def _adjoint_image(ch: KrausChannel, e, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
-    """Validate E as a PSD operator on the channel's space; return its
-    Hermitian part and ``phi^dagger`` of it."""
-    m = as_matrix(e)
-    if m.shape[0] != m.shape[1]:
-        raise NotPSD("operator must be square")
-    if max_abs(m - m.conj().T) > 1e-8:
-        raise NotPSD("operator is not Hermitian within 1e-8")
-    m = (m + m.conj().T) / 2
-    if float(np.linalg.eigvalsh(m).min()) < -1e-8:
-        raise NotPSD("operator has an eigenvalue below -1e-8")
+def _psd_operator(ch: KrausChannel, e, tol: Tolerances) -> np.ndarray:
+    """The Hermitian part of E, checked as a PSD operator on the channel's space."""
+    m = psd_part(e, tol, NotPSD, "operator")[0]
     if m.shape != (ch.dim, ch.dim):
         raise DimensionMismatch(f"operator is {m.shape}, channel dim is {ch.dim}")
-    return m, ch.adjoint().apply(m)
+    return m
 
 
 @dataclass(frozen=True)
@@ -180,8 +168,8 @@ def statistics_preserved(
     Operationalized exactly as the adjoint channel fixing E:
     ``residual = max |phi^dagger(E) - E|``.
     """
-    m, image = _adjoint_image(ch, e, tol)
-    residual = max_abs(image - m)
+    m = _psd_operator(ch, e, tol)
+    residual = max_abs(ch.adjoint().apply(m) - m)
     return PreservationReport(preserved=residual <= tol.residual, residual=residual)
 
 
@@ -212,10 +200,11 @@ class ElementReport:
     structure: StructuralDecomposition | StructuralFailure
 
 
-def _element_report(ch: KrausChannel, e, tol: Tolerances) -> ElementReport:
-    """Validate E, decide its preservation, and give its spectral form."""
-    m, image = _adjoint_image(ch, e, tol)
-    residual = max_abs(image - m)
+def _element_report(ch: KrausChannel, e: np.ndarray, tol: Tolerances) -> ElementReport:
+    """Decide the preservation of an element E already checked Hermitian, and
+    give the spectral form of its Hermitian part."""
+    m = (e + e.conj().T) / 2
+    residual = max_abs(ch.adjoint().apply(m) - m)
     preserved = residual <= tol.residual
     w, v = hermitian_eig(m, tol)
     clusters = cluster_eigenvalues(w, tol.eigencluster)
@@ -247,7 +236,7 @@ def povm_structural_decomposition(ch: KrausChannel, e, tol: Tolerances = DEFAULT
     element the first non-invariant eigenspace (scanning eigenvalues in
     descending order) is returned as a witness.
     """
-    return _element_report(ch, e, tol).structure
+    return _element_report(ch, _psd_operator(ch, e, tol), tol).structure
 
 
 def violation_witness(ch: KrausChannel, e, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -257,11 +246,11 @@ def violation_witness(ch: KrausChannel, e, tol: Tolerances = DEFAULT_TOL) -> np.
     the achieved gap ``|tr(E rho) - tr(E phi(rho))|`` equals that eigenvalue's
     magnitude.
     """
-    m, image = _adjoint_image(ch, e, tol)
-    diff = m - image
+    m = _psd_operator(ch, e, tol)
+    diff = m - ch.adjoint().apply(m)
     if max_abs(diff) <= tol.residual:
         raise NoViolation("element statistics are preserved; no witness exists")
-    w, v = hermitian_eig((diff + diff.conj().T) / 2, tol)
+    w, v = hermitian_eig(diff, tol)
     x = v[:, int(np.argmax(np.abs(w)))]
     return np.outer(x, x.conj())
 

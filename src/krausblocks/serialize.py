@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import asdict
 from itertools import chain, starmap
 
 import numpy as np
@@ -98,9 +99,11 @@ def wire_to_matrix(data, rows: int, cols: int, path: str) -> np.ndarray:
 
 
 def _wire_list(mats: list, dim: int, path: str) -> np.ndarray:
-    """A list of ``dim x dim`` wire matrices as one ``(k, dim, dim)`` stack."""
+    """A list of ``dim x dim`` wire matrices as one read-only ``(k, dim, dim)`` stack."""
     paths = (f"{path}[{k}]" for k in range(len(mats)))
-    return _wire_stack(mats, dim * dim, paths).reshape(-1, dim, dim)
+    stack = _wire_stack(mats, dim * dim, paths).reshape(-1, dim, dim)
+    stack.setflags(write=False)
+    return stack
 
 
 def _loads(data, path: str = "$") -> dict:
@@ -150,7 +153,7 @@ def channel_to_document(ch: KrausChannel, metadata: dict | None = None) -> dict:
 def parse_channel_ops(data) -> tuple[int, np.ndarray]:
     """Parse the structure of a channel document without validating the map.
 
-    Returns ``dim`` and the Kraus operators as one ``(k, dim, dim)`` stack.
+    Returns ``dim`` and the Kraus operators as one read-only ``(k, dim, dim)`` stack.
     """
     obj = _loads(data)
     _require(obj, "schema_version", str, "$")
@@ -189,7 +192,8 @@ def measurement_to_document(m: Povm | ProjectiveMeasurement) -> dict:
     }
 
 
-def parse_measurement(data) -> Povm | ProjectiveMeasurement:
+def parse_measurement(data, tol: Tolerances = DEFAULT_TOL) -> Povm | ProjectiveMeasurement:
+    """Parse a measurement document, checking its operators under ``tol``."""
     obj = _loads(data)
     _require(obj, "schema_version", str, "$")
     dim = _require(obj, "dim", int, "$")
@@ -203,8 +207,8 @@ def parse_measurement(data) -> Povm | ProjectiveMeasurement:
         raise ParseError("elements list must be nonempty", "$.elements")
     mats = tuple(_wire_list(elements_raw, dim, "$.elements"))
     if kind == "projective":
-        return ProjectiveMeasurement(dim=dim, projectors=mats)
-    return Povm(dim=dim, elements=mats)
+        return ProjectiveMeasurement(dim, mats, tol)
+    return Povm(dim, mats, tol)
 
 
 def operator_to_document(m: np.ndarray) -> dict:
@@ -289,10 +293,4 @@ def dumps_report(obj: dict) -> str:
 
 
 def tolerances_to_document(tol: Tolerances) -> dict:
-    return {
-        "hermitian": tol.hermitian,
-        "nullspace": tol.nullspace,
-        "eigencluster": tol.eigencluster,
-        "residual": tol.residual,
-        "optimizer": tol.optimizer,
-    }
+    return asdict(tol)

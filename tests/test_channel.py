@@ -23,6 +23,7 @@ from krausblocks.errors import (
     ValidationError,
 )
 from krausblocks.linalg import max_abs
+from krausblocks.serialize import channel_to_document, dumps_report, parse_channel_ops
 
 from tests.util import random_density, random_hermitian
 
@@ -141,11 +142,22 @@ class TestStorage:
                 assert not kraus.flags.writeable
                 with pytest.raises(ValueError):
                     kraus[0, 0, 0] = 1.0
-        # the stored array is a copy of the caller's, not a view of it
-        stack = np.array(ops)
-        ch = KrausChannel.from_kraus(stack)
-        stack[0] = 0.0
-        assert max_abs(ch.kraus[0] - ops[0]) == 0.0
+        # a writeable stack is copied, not viewed, by either constructor
+        for build in (KrausChannel.from_kraus, lambda a: KrausChannel(3, a)):
+            stack = np.array(ops)
+            ch = build(stack)
+            stack[0] = 0.0
+            assert max_abs(ch.kraus[0] - ops[0]) == 0.0
+
+    def test_parsed_stack_is_stored_uncopied(self):
+        doc = dumps_report(channel_to_document(random_unital_channel(3, 4, seed=1)))
+        dim, ops = parse_channel_ops(doc)
+        assert not ops.flags.writeable
+        for ch in (KrausChannel(dim, ops), KrausChannel.from_kraus(ops)):
+            assert np.shares_memory(ops, ch.kraus)
+        # the adjoint stores its one conjugated copy as a view, not a second copy
+        adj = KrausChannel(dim, ops).adjoint()
+        assert adj.kraus.base is not None and not adj.kraus.flags.writeable
 
     def test_dim_must_match_the_stack(self):
         with pytest.raises(DimensionMismatch):

@@ -17,7 +17,7 @@ from krausblocks.serialize import (
     parse_channel,
     parse_measurement,
 )
-from krausblocks import channel, depolarizing_channel, dephasing_channel, fixed_points
+from krausblocks import channel, cli, depolarizing_channel, dephasing_channel, fixed_points
 
 from tests.util import (
     computational_measurement,
@@ -307,9 +307,12 @@ class TestArgumentRanges:
             ["capacity", "CH", "--quantity", "ce", "--max-iters", "-5"],
             ["capacity", "CH", "--quantity", "smin", "--restarts", "0"],
             ["capacity", "CH", "--quantity", "coh", "--restarts", "0"],
+            # only ce and coh iterate to a cap
+            ["capacity", "CH", "--quantity", "smin", "--max-iters", "10"],
+            ["capacity", "--quantity", "combine", "--values", "1", "--max-iters", "10"],
         ],
         ids=["decompose", "restrict", "fixed-states", "capacity", "match", "max-iters",
-             "smin-restarts", "coh-restarts"],
+             "smin-restarts", "coh-restarts", "smin-max-iters", "combine-max-iters"],
     )
     def test_rejected_before_solve(self, monkeypatch, channel_doc, args):
         calls = count_calls(monkeypatch, fixed_points, "commutant_basis")
@@ -584,6 +587,32 @@ class TestCapacity:
         assert json.loads(out)["error"]["type"] == "NonConvergence"
 
 
+class TestMaxIters:
+    """``--max-iters`` reaches both iterating quantities; unset, each keeps its
+    library default."""
+
+    @pytest.mark.parametrize("quantity, function, iters", [
+        ("ce", "ent_assisted_capacity", 5000),
+        ("coh", "coherent_information", 7),
+    ])
+    @pytest.mark.parametrize("given", [True, False], ids=["given", "unset"])
+    def test_passed_through(self, tmp_path, monkeypatch, quantity, function, iters, given):
+        seen = []
+        real = getattr(cli, function)
+
+        def recording(*args, **kwargs):
+            seen.append(kwargs.get("max_iters"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, function, recording)
+        code, doc, _ = run(["gen", "--kind", "random_unital", "--dim", "2", "--seed", "3"])
+        path = write(tmp_path, "ch.json", doc)
+        flag = ["--max-iters", iters] if given else []
+        code, out, _ = run(["capacity", path, "--quantity", quantity, "--restarts", "2", *flag])
+        assert code == 0
+        assert seen == [iters if given else None]
+
+
 class TestGenUnitary:
     def test_gen_from_operator_document(self, tmp_path):
         h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -607,6 +636,64 @@ class TestMeasurementValidation:
         code, out, _ = run(["check-measurement", depolarizing_doc, mpath])
         assert code == 1
         assert json.loads(out)["error"]["type"] == "InvalidMeasurement"
+
+
+class TestInputValidationExitCodes:
+    """An input document that fails its own validation exits 1, like a channel."""
+
+    def test_state_not_a_density_matrix(self, tmp_path, depolarizing_doc):
+        rho = np.diag([1.5, -0.5]).astype(complex)
+        spath = write(tmp_path, "rho.json", dumps_report(operator_to_document(rho)))
+        code, out, err = run(["fixed-states", depolarizing_doc, "--state", spath])
+        assert code == 1
+        assert strict_json(out)["error"]["type"] == "NotADensityMatrix"
+        assert err.startswith("validation failure")
+
+    def test_gen_not_unitary(self, tmp_path):
+        u = np.array([[1, 1], [0, 1]], dtype=complex)
+        upath = write(tmp_path, "u.json", dumps_report(operator_to_document(u)))
+        code, out, err = run(["gen", "--kind", "unitary", "--dim", "2", "--unitary", upath])
+        assert code == 1
+        assert strict_json(out)["error"]["type"] == "NotUnitary"
+        assert err.startswith("validation failure")
+
+    def test_projectors_follow_tol_residual(self, tmp_path, depolarizing_doc):
+        # projectors summing to (1 + 5e-9) I: off by 5e-9 in every check
+        scaled = [(1 + 5e-9) * np.diag(row) for row in np.eye(2)]
+        doc = {"schema_version": "1", "dim": 2, "type": "projective",
+               "elements": [matrix_to_wire(p) for p in scaled]}
+        mpath = write(tmp_path, "m.json", json.dumps(doc))
+        code, out, _ = run(["check-measurement", depolarizing_doc, mpath])
+        assert code == 1
+        assert strict_json(out)["error"]["type"] == "InvalidMeasurement"
+        code, out, _ = run(["check-measurement", depolarizing_doc, mpath, "--tol-residual", "1e-8"])
+        assert code == 0
+        assert strict_json(out)["all_preserved"] is False
+
+    def test_state_trace_follows_tol_residual(self, tmp_path, depolarizing_doc):
+        rho = (1 + 5e-9) * np.eye(2, dtype=complex) / 2
+        spath = write(tmp_path, "rho.json", dumps_report(operator_to_document(rho)))
+        code, out, _ = run(["fixed-states", depolarizing_doc, "--state", spath])
+        assert code == 1
+        assert strict_json(out)["error"]["type"] == "NotADensityMatrix"
+        code, out, _ = run(["fixed-states", depolarizing_doc, "--state", spath,
+                            "--tol-residual", "1e-8"])
+        assert code == 0
+        assert strict_json(out)["classification"]["type"] == "block_mixture"
+
+
+class TestLoadedChannel:
+    def test_keeps_the_parsed_stack(self, monkeypatch, depolarizing_doc):
+        parsed = []
+        real = cli.parse_channel_ops
+
+        def recording(text):
+            parsed.append(real(text))
+            return parsed[-1]
+
+        monkeypatch.setattr(cli, "parse_channel_ops", recording)
+        ch, _ = cli._load_channel(depolarizing_doc, Tolerances())
+        assert np.shares_memory(parsed[0][1], ch.kraus)
 
 
 class TestDimensionMismatch:
