@@ -260,8 +260,8 @@ def random_unital_channel(dim: int, n_unitaries: int, seed: int) -> KrausChannel
 STANDARD_KINDS = ("identity", "depolarizing", "dephasing", "unitary", "random_unital")
 
 
-def standard_channel(kind: str, dim: int, **params) -> KrausChannel:
-    """Dispatch to the named generator; used by the CLI ``gen`` command."""
+def standard_channel(kind: str, dim: int, tol: Tolerances = DEFAULT_TOL, **params) -> KrausChannel:
+    """Dispatch to the named generator for the CLI ``gen``; a unitary is checked under ``tol``."""
     if kind == "identity":
         return identity_channel(dim)
     if kind == "depolarizing":
@@ -276,7 +276,7 @@ def standard_channel(kind: str, dim: int, **params) -> KrausChannel:
         u = as_matrix(params["unitary"])
         if u.shape != (dim, dim):
             raise DimensionMismatch(f"unitary must be {dim}x{dim}")
-        return unitary_channel(u)
+        return unitary_channel(u, tol)
     if kind == "random_unital":
         return random_unital_channel(
             dim, params.get("n_unitaries", 3), params.get("seed", 0)

@@ -102,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("capacity", help="entropic quantities with block reduction")
     p.add_argument("channel", nargs="?")
     p.add_argument("--quantity", choices=("smin", "ce", "coh", "combine"), required=True)
-    p.add_argument("--alpha", type=float, default=1.0)
+    p.add_argument("--alpha", type=float, help="Renyi order for smin (default 1)")
     p.add_argument("--restarts", type=int, default=32)
     p.add_argument("--values", type=float, nargs="+", help="per-block bits for combine")
     # None keeps each quantity's library default
@@ -334,10 +334,13 @@ def _cmd_check_measurement(args, tol):
 
 def _cmd_capacity(args, tol):
     require_at_least("--restarts", args.restarts, 1)  # before the channel is read
+    for flag, value, quantities in (("--max-iters", args.max_iters, ("ce", "coh")),
+                                    ("--alpha", args.alpha, ("smin",)),
+                                    ("--values", args.values, ("combine",))):
+        if value is not None and args.quantity not in quantities:
+            raise InvalidParameter(f"{flag} applies only to --quantity {' and '.join(quantities)}")
     iters = {}
     if args.max_iters is not None:
-        if args.quantity not in ("ce", "coh"):
-            raise InvalidParameter("--max-iters applies only to --quantity ce and coh")
         require_at_least("--max-iters", args.max_iters, 0)
         iters["max_iters"] = args.max_iters
     out = _report_head("capacity", tol)
@@ -355,8 +358,9 @@ def _cmd_capacity(args, tol):
 
     if not args.channel:
         raise InvalidParameter("this quantity needs a channel document")
+    alpha = 1.0 if args.alpha is None else args.alpha
     if args.quantity == "smin":
-        require_renyi_order(args.alpha)  # rejected before the commutant solve
+        require_renyi_order(alpha)  # rejected before the commutant solve
     ch, vdoc = _load_channel(args.channel, tol)
     dec = iris_decompose(ch, tol, seed=args.seed)
     out["seed"] = args.seed
@@ -369,7 +373,7 @@ def _cmd_capacity(args, tol):
     for s in dec.blocks:
         sub = restrict(ch, s, tol)
         if kind == "min_output_renyi":
-            q = min_output_renyi(sub, args.alpha, restarts=args.restarts, seed=args.seed, tol=tol)
+            q = min_output_renyi(sub, alpha, restarts=args.restarts, seed=args.seed, tol=tol)
         elif kind == "ent_assisted_capacity":
             q = ent_assisted_capacity(sub, tol, **iters)
         else:
@@ -387,7 +391,7 @@ def _cmd_capacity(args, tol):
     # on the coherent information, which the max rule keeps; the assisted
     # capacity's ascent values and their log-sum both lie below C_E
     if kind == "min_output_renyi":
-        qdoc["alpha"] = args.alpha
+        qdoc["alpha"] = alpha
         qdoc["bound"] = "upper"
     else:
         qdoc["bound"] = "lower"
@@ -413,7 +417,7 @@ def _cmd_gen(args, tol):
         params["n_unitaries"] = args.n_unitaries
         params["seed"] = args.seed
         construction = f"random_unital(n={args.n_unitaries}, seed={args.seed})"
-    ch = standard_channel(args.kind, args.dim, **params)
+    ch = standard_channel(args.kind, args.dim, tol, **params)
     doc = channel_to_document(
         ch,
         metadata={

@@ -12,7 +12,7 @@ irreducible) on every eigenspace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -87,6 +87,8 @@ class IrisDecomposition:
     blocks: tuple[Subspace, ...]
     irreducibility_certificates: tuple[int, ...]
     commutant: CommutantBasis | None = None
+    # the block bases side by side, in block order: a unitary once checked
+    frame: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if len(self.blocks) != len(self.irreducibility_certificates):
@@ -101,7 +103,8 @@ class IrisDecomposition:
                 f"block dimensions sum to {total}, ambient dim is {self.ambient_dim}"
             )
         # pairwise orthogonal blocks: their bases together are orthonormal
-        require_orthonormal(np.concatenate([s.basis for s in self.blocks], axis=1), DEFAULT_TOL)
+        object.__setattr__(self, "frame", frozen(np.hstack([s.basis for s in self.blocks])))
+        require_orthonormal(self.frame, DEFAULT_TOL)
 
     @property
     def n_blocks(self) -> int:
@@ -269,59 +272,45 @@ class DecompositionMatching:
     bijection: tuple[tuple[int, int], ...]
 
 
-def _has_overlap(a: Subspace, b: Subspace, tol: Tolerances) -> bool:
-    """True unless every basis vector of ``a`` lies in the complement of ``b``.
-
-    Decided vector by vector: the squared overlap mass ``sum_k |<v|b_k>|^2``
-    of each basis vector of ``a`` with ``b`` is compared against the
-    tolerance.
-    """
-    m = a.basis.conj().T @ b.basis
-    masses = np.sum(np.abs(m) ** 2, axis=1)
-    return bool(np.max(masses) > tol.residual)
-
-
 def match_decompositions(
     d1: IrisDecomposition, d2: IrisDecomposition, tol: Tolerances = DEFAULT_TOL
 ) -> DecompositionMatching:
     """Match two decompositions through the bipartite block-overlap graph.
 
-    Blocks that are not mutually orthogonal get an edge; connected components
-    (found by depth-first search) must then contain equally many blocks of
-    equal dimensions on both sides, and a dimension-preserving bijection is
-    emitted. Raises MultisetMismatch when the component structure is
-    inconsistent, which signals that an input is not a true decomposition of
-    the same channel.
+    Blocks overlap when a basis vector v of the left one has squared overlap
+    mass ``sum_k |<v|b_k>|^2`` with the right one above ``tol.residual``, all
+    read from the one product ``d1.frame^dagger d2.frame``. Connected
+    components (nodes: left blocks, then right blocks; ordered by smallest
+    node) must hold equally many blocks of equal dimensions on both sides,
+    else MultisetMismatch: an input is not a decomposition of the same
+    channel. A dimension-preserving bijection is emitted.
     """
     if d1.ambient_dim != d2.ambient_dim:
         raise DimensionMismatch("decompositions live in different ambient spaces")
-    nl, nr = d1.n_blocks, d2.n_blocks
+    nl = d1.n_blocks
+    mass = np.abs(d1.frame.conj().T @ d2.frame) ** 2  # per left and right basis vector
+    mass = np.add.reduceat(mass, np.cumsum((0,) + d2.block_dims[:-1]), axis=1)
+    overlap = np.maximum.reduceat(mass, np.cumsum((0,) + d1.block_dims[:-1]), axis=0)
 
-    adj: list[list[int]] = [[] for _ in range(nl + nr)]
-    for i in range(nl):
-        for j in range(nr):
-            if _has_overlap(d1.blocks[i], d2.blocks[j], tol):
-                adj[i].append(nl + j)
-                adj[nl + j].append(i)
+    # union-find with path halving; each root is its component's smallest node
+    parent = list(range(nl + d2.n_blocks))
 
-    seen = [False] * (nl + nr)
+    def root(u: int) -> int:
+        while parent[u] != u:
+            parent[u] = parent[parent[u]]
+            u = parent[u]
+        return u
+
+    for i, j in zip(*np.nonzero(overlap > tol.residual)):
+        a, b = root(int(i)), root(nl + int(j))
+        parent[max(a, b)] = min(a, b)
+    roots = [root(u) for u in range(len(parent))]
+
     components: list[MatchingComponent] = []
     bijection: list[tuple[int, int]] = []
-    for start in range(nl + nr):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        members = []
-        while stack:
-            u = stack.pop()
-            members.append(u)
-            for v in adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    stack.append(v)
-        left = sorted(u for u in members if u < nl)
-        right = sorted(u - nl for u in members if u >= nl)
+    for r in sorted(set(roots)):
+        left = [i for i in range(nl) if roots[i] == r]
+        right = [j for j in range(d2.n_blocks) if roots[nl + j] == r]
         left_dims = sorted(d1.blocks[i].dim for i in left)
         right_dims = sorted(d2.blocks[j].dim for j in right)
         if len(left) != len(right) or left_dims != right_dims:

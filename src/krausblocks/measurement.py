@@ -128,6 +128,11 @@ def projection_intertwines(
     p = _projector(as_matrix(pi), tol, NotAProjector, "matrix")
     if p.shape != (ch.dim, ch.dim):
         raise DimensionMismatch(f"projector is {p.shape}, channel dim is {ch.dim}")
+    return _intertwining(ch, p, tol)
+
+
+def _intertwining(ch: KrausChannel, p: np.ndarray, tol: Tolerances) -> CommutationReport:
+    """:func:`projection_intertwines` for a projector already checked."""
     left = KrausChannel(dim=ch.dim, kraus=p @ ch.kraus).superoperator_matrix()
     right = KrausChannel(dim=ch.dim, kraus=ch.kraus @ p).superoperator_matrix()
     residual = max_abs(left - right)
@@ -289,7 +294,8 @@ def measurement_preserved(
     commute = ranges_invariant = None
     if projective:
         commute = channels_commute(projective_channel(m), ch, tol)
-        ranges_invariant = all(projection_intertwines(ch, p, tol).commute for p in m.projectors)
+        # the measurement checked its projectors under the same tol
+        ranges_invariant = all(_intertwining(ch, p, tol).commute for p in m.projectors)
         if all_preserved != ranges_invariant:
             raise ToleranceFailure(
                 "per-element preservation and projector-range invariance "

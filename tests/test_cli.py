@@ -310,9 +310,15 @@ class TestArgumentRanges:
             # only ce and coh iterate to a cap
             ["capacity", "CH", "--quantity", "smin", "--max-iters", "10"],
             ["capacity", "--quantity", "combine", "--values", "1", "--max-iters", "10"],
+            ["capacity", "CH", "--quantity", "ce", "--alpha", "7"],
+            ["capacity", "CH", "--quantity", "coh", "--alpha", "2"],
+            ["capacity", "--quantity", "combine", "--values", "1", "--alpha", "2"],
+            ["capacity", "CH", "--quantity", "smin", "--values", "1"],
+            ["capacity", "CH", "--quantity", "ce", "--values", "1", "2"],
         ],
         ids=["decompose", "restrict", "fixed-states", "capacity", "match", "max-iters",
-             "smin-restarts", "coh-restarts", "smin-max-iters", "combine-max-iters"],
+             "smin-restarts", "coh-restarts", "smin-max-iters", "combine-max-iters",
+             "ce-alpha", "coh-alpha", "combine-alpha", "smin-values", "ce-values"],
     )
     def test_rejected_before_solve(self, monkeypatch, channel_doc, args):
         calls = count_calls(monkeypatch, fixed_points, "commutant_basis")
@@ -624,6 +630,16 @@ class TestGenUnitary:
         assert np.allclose(ch.kraus[0], h)
 
 
+    def test_smin_alpha_defaults_to_one(self, tmp_path):
+        code, doc, _ = run(["gen", "--kind", "random_unital", "--dim", "2", "--seed", "3"])
+        path = write(tmp_path, "ch.json", doc)
+        code, out, _ = run(["capacity", path, "--quantity", "smin", "--restarts", "2"])
+        assert code == 0
+        assert '"alpha":1,' in out
+        assert out == run(["capacity", path, "--quantity", "smin", "--restarts", "2",
+                           "--alpha", "1"])[1]
+
+
 class TestMeasurementValidation:
     def test_invalid_measurement_exit_1(self, tmp_path, depolarizing_doc):
         doc = {
@@ -656,6 +672,17 @@ class TestInputValidationExitCodes:
         assert code == 1
         assert strict_json(out)["error"]["type"] == "NotUnitary"
         assert err.startswith("validation failure")
+
+    def test_gen_unitary_follows_tol_residual(self, tmp_path):
+        u = np.array([[1 + 1e-6, 0], [0, 1]], dtype=complex)
+        upath = write(tmp_path, "u.json", dumps_report(operator_to_document(u)))
+        argv = ["gen", "--kind", "unitary", "--dim", "2", "--unitary", upath]
+        code, out, _ = run(argv)
+        assert code == 1
+        assert strict_json(out)["error"]["type"] == "NotUnitary"
+        code, out, _ = run(argv + ["--tol-residual", "1e-3"])
+        assert code == 0
+        assert parse_channel(out, Tolerances(residual=1e-3)).n_kraus == 1
 
     def test_projectors_follow_tol_residual(self, tmp_path, depolarizing_doc):
         # projectors summing to (1 + 5e-9) I: off by 5e-9 in every check

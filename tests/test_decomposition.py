@@ -3,7 +3,9 @@ import pytest
 
 from krausblocks import (
     CommutantBasis,
+    DecompositionMatching,
     IrisDecomposition,
+    MatchingComponent,
     Subspace,
     commutant_basis,
     dephasing_channel,
@@ -330,6 +332,28 @@ class TestRestrict:
             restrict(ch, s)
 
 
+def closure_matching(d1, d2) -> DecompositionMatching:
+    """Reference matcher: overlap masses block pair by block pair, components
+    from the boolean transitive closure, ordered by smallest node."""
+    nl, n = d1.n_blocks, d1.n_blocks + d2.n_blocks
+    reach = np.eye(n, dtype=bool)
+    for i, a in enumerate(d1.blocks):
+        for j, b in enumerate(d2.blocks):
+            masses = np.sum(np.abs(a.basis.conj().T @ b.basis) ** 2, axis=1)
+            reach[i, nl + j] = reach[nl + j, i] = np.max(masses) > DEFAULT_TOL.residual
+    for _ in range(n):
+        reach = (reach.astype(int) @ reach.astype(int)) > 0
+    components, bijection = [], []
+    for first in sorted({int(np.argmax(row)) for row in reach}):
+        left = [i for i in range(nl) if reach[first, i]]
+        right = [j for j in range(d2.n_blocks) if reach[first, nl + j]]
+        dims = sorted(d1.blocks[i].dim for i in left)
+        components.append(MatchingComponent(tuple(left), tuple(right), tuple(dims)))
+        bijection += zip(sorted(left, key=lambda i: (d1.blocks[i].dim, i)),
+                         sorted(right, key=lambda j: (d2.blocks[j].dim, j)))
+    return DecompositionMatching(tuple(components), tuple(sorted(bijection)))
+
+
 class TestMatch:
     def test_self_match_distinct_dims(self):
         ch, _, _ = rotated_direct_sum((2, 3), seed=11)
@@ -383,6 +407,18 @@ class TestMatch:
         assert d1.dimension_multiset() == d2.dimension_multiset() == (1, 1, 2)
         m = match_decompositions(d1, d2)
         assert sorted(c.common_dimension_multiset for c in m.components) == [(1, 1), (2,)]
+
+    def test_matches_overlap_closure(self):
+        # the golden corpus, degenerate blocks (identity, copies) included,
+        # at seed pairs in {0..3}^2; components come by smallest node
+        for name, case in GOLDEN_CASES.items():
+            decs = [iris_decompose(case(), seed=s) for s in range(4)]
+            for d1 in decs:
+                for d2 in decs:
+                    m = match_decompositions(d1, d2)
+                    assert m == closure_matching(d1, d2), name
+                    firsts = [min(c.left_block_indices) for c in m.components]
+                    assert firsts == sorted(firsts)
 
 
 class TestRoundTrip:

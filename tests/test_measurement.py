@@ -25,6 +25,7 @@ from krausblocks import (
     unitary_channel,
     violation_witness,
 )
+from krausblocks import measurement
 from krausblocks.errors import InvalidMeasurement, NoViolation, NotAProjector, NotPSD
 from krausblocks.linalg import max_abs
 
@@ -311,6 +312,23 @@ class TestMeasurementPreserved:
         rep = measurement_preserved(ch, m)
         assert rep.all_preserved
         assert len(calls) == len(rep.elements)
+
+    def test_projectors_checked_once(self, monkeypatch):
+        # ProjectiveMeasurement checked its projectors; the range-invariance
+        # cross-check must not check them again
+        ch, _, projectors = rotated_direct_sum((2, 3, 4), seed=23)
+        m = ProjectiveMeasurement(9, tuple(projectors))
+        calls = []
+        real = measurement._projector
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(measurement, "_projector", counting)
+        rep = measurement_preserved(ch, m)
+        assert rep.all_preserved and rep.ranges_invariant
+        assert len(calls) == 0
 
     def test_structural_equivalence_on_constructed_elements(self):
         ch, _, _ = rotated_direct_sum((2, 3), seed=77)

@@ -30,6 +30,7 @@ from krausblocks import (
     hermitian_eig,
     identity_channel,
     iris_decompose,
+    match_decompositions,
     orthonormal_complement,
     projection_intertwines,
     random_unital_channel,
@@ -87,6 +88,18 @@ def scalar_on(eps: float, tol) -> bool:
     z = np.sqrt(0.5) * eps * diag(1.0, -1.0)
     basis = CommutantBasis(2, frozen(np.stack([np.eye(2) / np.sqrt(2), z])))
     return basis.is_scalar_on(np.eye(2), tol)
+
+
+def two_components(eps: float, tol) -> bool:
+    """Whether the ray decompositions {e0, e1} and {tilted(sqrt(eps)), its
+    complement} of C^2, whose crossing rays overlap with mass about eps,
+    match as two components."""
+    delta = np.sqrt(eps)
+    complement = np.array([[1.0], [-delta]], dtype=complex) / np.hypot(delta, 1.0)
+    e = np.eye(2, dtype=complex)
+    d1 = IrisDecomposition(2, (Subspace(2, e[:, :1]), Subspace(2, e[:, 1:])), (1, 1))
+    d2 = IrisDecomposition(2, (Subspace(2, tilted(delta)), Subspace(2, complement)), (1, 1))
+    return len(match_decompositions(d1, d2, tol).components) == 2
 
 
 def span_drops(eps: float, tol) -> bool:
@@ -153,6 +166,7 @@ ROUTES = [
      lambda e, t: passes(lambda: IrisDecomposition(
                              2, (Subspace(2, [[1], [0]]), Subspace(2, tilted(e))), (1, 1)),
                          NotOrthonormal, "max")),
+    ("match-overlap", "residual", (), two_components),
     ("scalar-on-block", "eigencluster", (), scalar_on),
     ("span-rank", "nullspace", (decomposition,), span_drops),
 ]
