@@ -256,29 +256,3 @@ def random_unital_channel(dim: int, n_unitaries: int, seed: int) -> KrausChannel
     ops = [haar_unitary(dim, rng) / np.sqrt(n_unitaries) for _ in range(n_unitaries)]
     return KrausChannel.from_kraus(ops)
 
-
-STANDARD_KINDS = ("identity", "depolarizing", "dephasing", "unitary", "random_unital")
-
-
-def standard_channel(kind: str, dim: int, tol: Tolerances = DEFAULT_TOL, **params) -> KrausChannel:
-    """Dispatch to the named generator for the CLI ``gen``; a unitary is checked under ``tol``."""
-    if kind == "identity":
-        return identity_channel(dim)
-    if kind == "depolarizing":
-        if "p" not in params:
-            raise InvalidParameter("depolarizing needs parameter p")
-        return depolarizing_channel(dim, params["p"])
-    if kind == "dephasing":
-        return dephasing_channel(dim)
-    if kind == "unitary":
-        if "unitary" not in params:
-            raise InvalidParameter("unitary kind needs the unitary matrix")
-        u = as_matrix(params["unitary"])
-        if u.shape != (dim, dim):
-            raise DimensionMismatch(f"unitary must be {dim}x{dim}")
-        return unitary_channel(u, tol)
-    if kind == "random_unital":
-        return random_unital_channel(
-            dim, params.get("n_unitaries", 3), params.get("seed", 0)
-        )
-    raise InvalidParameter(f"unknown channel kind {kind!r}; choose from {STANDARD_KINDS}")

@@ -5,7 +5,10 @@ stderr. Exit codes: 0 success, 1 an input document that fails validation (a
 channel, measurement, ``--state`` density matrix or ``--unitary``), 2 parse
 or argument error (a dimension mismatch between input documents included), 3
 tolerance, convergence or numerical failure. Reports embed the schema
-version and tolerances and are byte-identical for identical inputs.
+version and tolerances; ``serialize.dumps_report`` writes them, byte-identical
+for identical inputs, every float read back exactly. ``decompose``,
+``fixed-states``, ``restrict`` and ``capacity`` share one step that loads,
+validates and decomposes the channel and starts the report.
 """
 
 from __future__ import annotations
@@ -22,7 +25,15 @@ from .capacity import (
     reduce_over_blocks,
     require_renyi_order,
 )
-from .channel import KrausChannel, standard_channel, validate_kraus
+from .channel import (
+    KrausChannel,
+    dephasing_channel,
+    depolarizing_channel,
+    identity_channel,
+    random_unital_channel,
+    unitary_channel,
+    validate_kraus,
+)
 from .decomposition import IrisDecomposition, iris_decompose, match_decompositions, restrict
 from .errors import (
     DimensionMismatch,
@@ -103,9 +114,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("channel", nargs="?")
     p.add_argument("--quantity", choices=("smin", "ce", "coh", "combine"), required=True)
     p.add_argument("--alpha", type=float, help="Renyi order for smin (default 1)")
-    p.add_argument("--restarts", type=int, default=32)
     p.add_argument("--values", type=float, nargs="+", help="per-block bits for combine")
     # None keeps each quantity's library default
+    p.add_argument("--restarts", type=int, help="optimizer restarts for smin and coh")
     p.add_argument("--max-iters", type=int, help="iteration cap for ce and coh")
     add_common(p)
 
@@ -177,6 +188,17 @@ def _report_head(command: str, tol: Tolerances) -> dict:
     }
 
 
+def _decomposed(args, tol: Tolerances) -> tuple[KrausChannel, IrisDecomposition, dict]:
+    """Load and validate the channel, decompose it at ``--seed`` and start the
+    report with its ``seed`` and ``validation``."""
+    ch, vdoc = _load_channel(args.channel, tol)
+    dec = iris_decompose(ch, tol, seed=args.seed)
+    out = _report_head(args.command, tol)
+    out["seed"] = args.seed
+    out["validation"] = vdoc
+    return ch, dec, out
+
+
 # ---------------------------------------------------------------------------
 # command handlers: each returns (report_dict, human_lines)
 # ---------------------------------------------------------------------------
@@ -198,11 +220,7 @@ def _cmd_validate(args, tol):
 
 
 def _cmd_decompose(args, tol):
-    ch, vdoc = _load_channel(args.channel, tol)
-    dec = iris_decompose(ch, tol, seed=args.seed)
-    out = _report_head("decompose", tol)
-    out["seed"] = args.seed
-    out["validation"] = vdoc
+    _, dec, out = _decomposed(args, tol)
     out["commutant_count"] = dec.commutant.count
     out["decomposition"] = _decomposition_doc(dec)
     human = [f"blocks: {list(dec.block_dims)} (commutant count {dec.commutant.count})"]
@@ -211,17 +229,13 @@ def _cmd_decompose(args, tol):
 
 def _cmd_restrict(args, tol):
     require_at_least("--block", args.block, 0)  # before the channel is read
-    ch, vdoc = _load_channel(args.channel, tol)
-    dec = iris_decompose(ch, tol, seed=args.seed)
+    ch, dec, out = _decomposed(args, tol)
     if args.block >= dec.n_blocks:
         raise InvalidParameter(
             f"--block must be in [0, {dec.n_blocks - 1}] for this decomposition"
         )
     sub = dec.blocks[args.block]
     restricted = restrict(ch, sub, tol)
-    out = _report_head("restrict", tol)
-    out["seed"] = args.seed
-    out["validation"] = vdoc
     out["block_index"] = args.block
     out["block_dim"] = sub.dim
     out["block_basis"] = matrix_to_wire(sub.basis)
@@ -257,11 +271,7 @@ def _cmd_match(args, tol):
 
 
 def _cmd_fixed_states(args, tol):
-    ch, vdoc = _load_channel(args.channel, tol)
-    dec = iris_decompose(ch, tol, seed=args.seed)
-    out = _report_head("fixed-states", tol)
-    out["seed"] = args.seed
-    out["validation"] = vdoc
+    ch, dec, out = _decomposed(args, tol)
     out["commutant_count"] = dec.commutant.count
     out["decomposition"] = _decomposition_doc(dec)
     out["building_blocks"] = [
@@ -333,21 +343,24 @@ def _cmd_check_measurement(args, tol):
 
 
 def _cmd_capacity(args, tol):
-    require_at_least("--restarts", args.restarts, 1)  # before the channel is read
     for flag, value, quantities in (("--max-iters", args.max_iters, ("ce", "coh")),
+                                    ("--restarts", args.restarts, ("smin", "coh")),
                                     ("--alpha", args.alpha, ("smin",)),
                                     ("--values", args.values, ("combine",))):
         if value is not None and args.quantity not in quantities:
             raise InvalidParameter(f"{flag} applies only to --quantity {' and '.join(quantities)}")
-    iters = {}
+    opts = {}  # the flags given; each unset one keeps the library default
+    if args.restarts is not None:
+        require_at_least("--restarts", args.restarts, 1)  # before the channel is read
+        opts["restarts"] = args.restarts
     if args.max_iters is not None:
         require_at_least("--max-iters", args.max_iters, 0)
-        iters["max_iters"] = args.max_iters
-    out = _report_head("capacity", tol)
+        opts["max_iters"] = args.max_iters
     if args.quantity == "combine":
         if not args.values:
             raise InvalidParameter("--quantity combine needs --values")
         combined = reduce_over_blocks("classical_capacity", args.values)
+        out = _report_head("capacity", tol)
         out["quantity"] = {
             "kind": "classical_capacity",
             "method": "combined",
@@ -361,10 +374,7 @@ def _cmd_capacity(args, tol):
     alpha = 1.0 if args.alpha is None else args.alpha
     if args.quantity == "smin":
         require_renyi_order(alpha)  # rejected before the commutant solve
-    ch, vdoc = _load_channel(args.channel, tol)
-    dec = iris_decompose(ch, tol, seed=args.seed)
-    out["seed"] = args.seed
-    out["validation"] = vdoc
+    ch, dec, out = _decomposed(args, tol)
     out["block_dims"] = list(dec.block_dims)
 
     kind = {"smin": "min_output_renyi", "ce": "ent_assisted_capacity",
@@ -373,11 +383,11 @@ def _cmd_capacity(args, tol):
     for s in dec.blocks:
         sub = restrict(ch, s, tol)
         if kind == "min_output_renyi":
-            q = min_output_renyi(sub, alpha, restarts=args.restarts, seed=args.seed, tol=tol)
+            q = min_output_renyi(sub, alpha, seed=args.seed, tol=tol, **opts)
         elif kind == "ent_assisted_capacity":
-            q = ent_assisted_capacity(sub, tol, **iters)
+            q = ent_assisted_capacity(sub, tol, **opts)
         else:
-            q = coherent_information(sub, restarts=args.restarts, seed=args.seed, tol=tol, **iters)
+            q = coherent_information(sub, seed=args.seed, tol=tol, **opts)
         per_block.append(q.value)
     combined = reduce_over_blocks(kind, per_block)
     qdoc = {
@@ -396,28 +406,32 @@ def _cmd_capacity(args, tol):
     else:
         qdoc["bound"] = "lower"
     if kind != "ent_assisted_capacity":
-        qdoc["restarts"] = args.restarts
+        qdoc["restarts"] = q.restarts_used
     out["quantity"] = qdoc
     return out, [f"{kind}: {combined:.6f} bits over blocks {list(dec.block_dims)}"], 0
 
 
 def _cmd_gen(args, tol):
-    params = {}
     construction = args.kind
-    if args.kind == "depolarizing":
+    if args.kind == "identity":
+        ch = identity_channel(args.dim)
+    elif args.kind == "dephasing":
+        ch = dephasing_channel(args.dim)
+    elif args.kind == "depolarizing":
         if args.p is None:
             raise InvalidParameter("depolarizing needs --p")
-        params["p"] = args.p
+        ch = depolarizing_channel(args.dim, args.p)
         construction = f"depolarizing(p={args.p})"
-    if args.kind == "unitary":
+    elif args.kind == "unitary":
         if not args.unitary:
             raise InvalidParameter("unitary kind needs --unitary")
-        params["unitary"] = parse_operator(_read(args.unitary))
-    if args.kind == "random_unital":
-        params["n_unitaries"] = args.n_unitaries
-        params["seed"] = args.seed
+        u = parse_operator(_read(args.unitary))
+        if u.shape != (args.dim, args.dim):
+            raise DimensionMismatch(f"unitary must be {args.dim}x{args.dim}")
+        ch = unitary_channel(u, tol)
+    else:
+        ch = random_unital_channel(args.dim, args.n_unitaries, args.seed)
         construction = f"random_unital(n={args.n_unitaries}, seed={args.seed})"
-    ch = standard_channel(args.kind, args.dim, tol, **params)
     doc = channel_to_document(
         ch,
         metadata={

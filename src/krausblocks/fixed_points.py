@@ -68,10 +68,8 @@ def _commutant_gram(a: np.ndarray, t: np.ndarray, u: np.ndarray) -> np.ndarray:
     ``I kron T + conj(U) kron I - S - S^dagger`` with ``T = sum A_i^dagger A_i``,
     ``U = sum A_i A_i^dagger`` and ``S = sum conj(A_i) kron A_i``. T and U are
     not taken as I: validation allows ``tol.residual`` of non-unitality."""
-    k, d = a.shape[0], a.shape[1]
-    flat = a.reshape(k, d * d)
-    # (conj(A) kron A)[(p, r), (q, t)] = conj(A[p, q]) A[r, t]: one GEMM over i
-    s = (flat.conj().T @ flat).reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    d = a.shape[1]
+    s = KrausChannel(dim=d, kraus=a).superoperator_matrix()
     g = s.conj().T.copy()
     g += s
     g *= -1.0

@@ -8,10 +8,10 @@ out-of-range entry is a ``ParseError`` with the entry's path.
 A list of wire matrices is checked and converted as one array: the checks are
 C-level passes over the whole list, and only when one fails is the list
 walked entry by entry to name the first offending entry in document order.
-Reports are emitted with a fixed field order and every float printed with 17
-significant digits, so identical inputs produce byte-identical output and
-every value round-trips exactly, except the sign of a zero: ``-0.0`` prints
-as ``-0``, which JSON reads as the integer 0.
+Reports are written by ``json.dumps``: fields keep their insertion order and
+every float prints in the shortest form that reads back as the same double
+(``-0.0`` keeps its sign, whole numbers print as ``1.0``), so identical inputs
+produce byte-identical output and every value round-trips exactly.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict
-from itertools import chain, starmap
+from itertools import chain
 
 import numpy as np
 
@@ -235,61 +235,17 @@ def parse_operator(data) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-# one wire pair, formatted as the per-float branch of _emit formats each float
-_PAIR = "[{:.17g},{:.17g}]"
-
-
-def _is_wire(value) -> bool:
-    """Whether ``value`` is a nonempty list of ``[re, im]`` pairs of Python
-    floats (not ints, which print in integer form)."""
-    pairs = chain.from_iterable
-    return (
-        set(map(type, value)) == {list}
-        and set(map(len, value)) == {2}
-        and set(map(type, pairs(value))) == {float}
-    )
-
-
-def _emit(value, parts: list[str]) -> None:
-    if value is None:
-        parts.append("null")
-    elif isinstance(value, (bool, np.bool_)):
-        parts.append("true" if value else "false")
-    elif isinstance(value, (int, np.integer)):
-        parts.append(str(int(value)))
-    elif isinstance(value, (float, np.floating)):
-        parts.append(format(float(value), ".17g"))
-    elif isinstance(value, str):
-        parts.append(json.dumps(value))
-    elif isinstance(value, dict):
-        parts.append("{")
-        for i, (k, v) in enumerate(value.items()):
-            if i:
-                parts.append(",")
-            parts.append(json.dumps(str(k)))
-            parts.append(":")
-            _emit(v, parts)
-        parts.append("}")
-    elif isinstance(value, (list, tuple)) and _is_wire(value):
-        parts.append("[")
-        parts.append(",".join(starmap(_PAIR.format, value)))
-        parts.append("]")
-    elif isinstance(value, (list, tuple)):
-        parts.append("[")
-        for i, v in enumerate(value):
-            if i:
-                parts.append(",")
-            _emit(v, parts)
-        parts.append("]")
-    else:
-        raise TypeError(f"cannot serialize {type(value).__name__} into a report")
+def _plain(value):
+    """A numpy scalar as its Python value; anything else has no JSON form."""
+    if isinstance(value, np.generic):
+        return value.item()
+    raise TypeError(f"cannot serialize {type(value).__name__} into a report")
 
 
 def dumps_report(obj: dict) -> str:
-    """Serialize a report with fixed field order and 17-significant-digit floats."""
-    parts: list[str] = []
-    _emit(obj, parts)
-    return "".join(parts)
+    """Serialize a report compactly, fields in insertion order and each float
+    in the shortest form that reads back as the same double."""
+    return json.dumps(obj, separators=(",", ":"), default=_plain)
 
 
 def tolerances_to_document(tol: Tolerances) -> dict:

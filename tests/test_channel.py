@@ -9,7 +9,6 @@ from krausblocks import (
     haar_unitary,
     identity_channel,
     random_unital_channel,
-    standard_channel,
     superoperator_distance,
     unitary_channel,
     unvec,
@@ -279,7 +278,7 @@ class TestStandardChannels:
                 assert max_abs(ch.apply(e) - expected) <= 1e-12
 
     def test_unitary_kind(self):
-        ch = standard_channel("unitary", 2, unitary=X)
+        ch = unitary_channel(X)
         assert ch.n_kraus == 1
         assert max_abs(ch.kraus[0] - X) == 0.0
 
@@ -304,5 +303,3 @@ class TestStandardChannels:
             depolarizing_channel(2, 0.0)
         with pytest.raises(InvalidParameter):
             depolarizing_channel(2, 1.5)
-        with pytest.raises(InvalidParameter):
-            standard_channel("nope", 2)

@@ -66,6 +66,12 @@ class TestGen:
         assert code == 2
         assert json.loads(out)["error"]["type"] == "InvalidParameter"
 
+    def test_needs_unitary(self):
+        code, out, err = run(["gen", "--kind", "unitary", "--dim", "2"])
+        assert code == 2
+        assert strict_json(out)["error"]["type"] == "InvalidParameter"
+        assert "Traceback" not in err
+
 
 class TestValidate:
     def test_valid_channel(self, depolarizing_doc):
@@ -315,10 +321,14 @@ class TestArgumentRanges:
             ["capacity", "--quantity", "combine", "--values", "1", "--alpha", "2"],
             ["capacity", "CH", "--quantity", "smin", "--values", "1"],
             ["capacity", "CH", "--quantity", "ce", "--values", "1", "2"],
+            # only smin and coh restart
+            ["capacity", "CH", "--quantity", "ce", "--restarts", "5"],
+            ["capacity", "--quantity", "combine", "--values", "1", "--restarts", "3"],
         ],
         ids=["decompose", "restrict", "fixed-states", "capacity", "match", "max-iters",
              "smin-restarts", "coh-restarts", "smin-max-iters", "combine-max-iters",
-             "ce-alpha", "coh-alpha", "combine-alpha", "smin-values", "ce-values"],
+             "ce-alpha", "coh-alpha", "combine-alpha", "smin-values", "ce-values",
+             "ce-restarts", "combine-restarts"],
     )
     def test_rejected_before_solve(self, monkeypatch, channel_doc, args):
         calls = count_calls(monkeypatch, fixed_points, "commutant_basis")
@@ -537,10 +547,20 @@ class TestCapacity:
         # optimized values bound the optimum from the side they search from
         ch, _, _ = rotated_direct_sum((1, 2), seed=33)
         path = write(tmp_path, "ch.json", dumps_report(channel_to_document(ch)))
-        for quantity, bound in (("smin", "upper"), ("coh", "lower"), ("ce", "lower")):
-            code, out, _ = run(["capacity", path, "--quantity", quantity, "--restarts", "4"])
+        for quantity, bound, restarts in (("smin", "upper", ["--restarts", "4"]),
+                                          ("coh", "lower", ["--restarts", "4"]),
+                                          ("ce", "lower", [])):
+            code, out, _ = run(["capacity", path, "--quantity", quantity, *restarts])
             assert code == 0
             assert json.loads(out)["quantity"].get("bound") == bound
+
+    def test_restarts_default(self, tmp_path):
+        code, doc, _ = run(["gen", "--kind", "random_unital", "--dim", "2", "--seed", "3"])
+        path = write(tmp_path, "ch.json", doc)
+        for quantity in ("smin", "coh"):
+            code, out, _ = run(["capacity", path, "--quantity", quantity])
+            assert code == 0
+            assert strict_json(out)["quantity"]["restarts"] == 32
 
     def test_combine(self):
         code, out, _ = run(["capacity", "--quantity", "combine", "--values", "1.0", "1.0"])
@@ -614,7 +634,9 @@ class TestMaxIters:
         code, doc, _ = run(["gen", "--kind", "random_unital", "--dim", "2", "--seed", "3"])
         path = write(tmp_path, "ch.json", doc)
         flag = ["--max-iters", iters] if given else []
-        code, out, _ = run(["capacity", path, "--quantity", quantity, "--restarts", "2", *flag])
+        if quantity == "coh":  # ce takes no restarts
+            flag += ["--restarts", "2"]
+        code, out, _ = run(["capacity", path, "--quantity", quantity, *flag])
         assert code == 0
         assert seen == [iters if given else None]
 
@@ -635,7 +657,7 @@ class TestGenUnitary:
         path = write(tmp_path, "ch.json", doc)
         code, out, _ = run(["capacity", path, "--quantity", "smin", "--restarts", "2"])
         assert code == 0
-        assert '"alpha":1,' in out
+        assert '"alpha":1.0,' in out
         assert out == run(["capacity", path, "--quantity", "smin", "--restarts", "2",
                            "--alpha", "1"])[1]
 
@@ -739,12 +761,40 @@ class TestDimensionMismatch:
         assert code == 2
         assert json.loads(out)["error"]["type"] == "DimensionMismatch"
 
+    def test_unitary_for_smaller_gen(self, tmp_path):
+        upath = write(tmp_path, "u.json", dumps_report(operator_to_document(np.eye(3))))
+        code, out, err = run(["gen", "--kind", "unitary", "--dim", "2", "--unitary", upath])
+        assert code == 2
+        assert strict_json(out)["error"] == {"type": "DimensionMismatch",
+                                             "message": "unitary must be 2x2"}
+        assert "Traceback" not in err
+
 
 class TestReportFormat:
-    def test_round_trip_stable(self, depolarizing_doc):
-        _, out, _ = run(["decompose", depolarizing_doc, "--seed", "0"])
-        reparsed = json.loads(out)
-        assert dumps_report(reparsed) == out.strip()
+    def test_round_trip_stable(self, tmp_path, depolarizing_doc):
+        # -0.0 entries and whole-number floats print so that they read back
+        # as the same floats, and re-emitting a report reproduces its bytes
+        assert "-0.0," in open(depolarizing_doc).read()
+        mpath = write(tmp_path, "m.json", dumps_report(measurement_to_document(
+            computational_measurement(2))))
+        spath = write(tmp_path, "rho.json", dumps_report(operator_to_document(np.eye(2) / 2)))
+        for argv in (
+            ["gen", "--kind", "depolarizing", "--dim", "2", "--p", "0.5"],
+            ["validate", depolarizing_doc],
+            ["decompose", depolarizing_doc, "--seed", "0"],
+            ["restrict", depolarizing_doc, "--block", "0"],
+            ["match", depolarizing_doc],
+            ["fixed-states", depolarizing_doc, "--state", spath],
+            ["check-measurement", depolarizing_doc, mpath],
+            ["capacity", depolarizing_doc, "--quantity", "smin", "--restarts", "2"],
+            ["capacity", depolarizing_doc, "--quantity", "ce"],
+            ["capacity", depolarizing_doc, "--quantity", "coh", "--restarts", "2"],
+            ["capacity", "--quantity", "combine", "--values", "1", "-0.0"],
+            ["restrict", depolarizing_doc, "--block", "5"],
+        ):
+            code, out, _ = run(argv)
+            assert code == (2 if argv[-1] == "5" else 0), argv
+            assert dumps_report(strict_json(out)) == out.strip(), argv
 
     def test_parse_measure_round_trip(self):
         m = computational_measurement(3)

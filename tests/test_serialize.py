@@ -41,10 +41,8 @@ def reference_parse(data):
 
 
 def reference_emit(wire):
-    """Each float printed on its own with ``format(x, ".17g")``."""
-    return "[" + ",".join(
-        "[" + format(re, ".17g") + "," + format(im, ".17g") + "]" for re, im in wire
-    ) + "]"
+    """Each float printed on its own with ``repr``."""
+    return "[" + ",".join("[" + repr(re) + "," + repr(im) + "]" for re, im in wire) + "]"
 
 
 def bits(a):
@@ -58,9 +56,7 @@ class TestRoundTrip:
             text = dumps_report({"m": matrix_to_wire(m)})
             back = wire_to_matrix(json.loads(text)["m"], *m.shape, "$.m")
             assert back.dtype == complex and back.shape == m.shape
-            # -0.0 prints as "-0", which JSON reads as the integer 0: only the
-            # sign of a zero is lost (adding +0 maps -0.0 to 0.0 and keeps the rest)
-            assert np.array_equal(bits(back), bits(m + (0.0 + 0.0j)))
+            assert np.array_equal(bits(back), bits(m))
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_parse_matches_per_entry_reference(self, seed):
@@ -78,10 +74,10 @@ class TestRoundTrip:
     def test_emit_special_values(self):
         wire = [[x, -x] for x in SPECIAL] + [[-0.0, 0.0], [3.0, 4.0]]
         assert dumps_report(wire) == reference_emit(wire)
-        assert dumps_report([[-0.0, 5e-324]]) == "[[-0,4.9406564584124654e-324]]"
+        assert dumps_report([[-0.0, 5e-324]]) == "[[-0.0,5e-324]]"
 
     def test_integer_pairs_keep_integer_form(self):
-        # ints print as ints, not with 17 significant digits
+        # ints print as ints, not as floats
         text = dumps_report({"m": [[1, 0], [10**20, -2]]})
         assert text == '{"m":[[1,0],[100000000000000000000,-2]]}'
 
