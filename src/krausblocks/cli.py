@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 
 from numpy.linalg import LinAlgError
 
@@ -49,7 +50,7 @@ from .errors import (
     ToleranceFailure,
     ValidationError,
 )
-from .fixed_points import BlockMixture, classify_fixed_state, commutant_basis
+from .fixed_points import BlockMixture, classify_fixed_state
 from .linalg import DEFAULT_TOL, Tolerances, require_at_least
 from .measurement import (
     StructuralDecomposition,
@@ -221,9 +222,10 @@ def _cmd_validate(args, tol):
 
 def _cmd_decompose(args, tol):
     _, dec, out = _decomposed(args, tol)
-    out["commutant_count"] = dec.commutant.count
+    out["commutant_count"] = dec.commutant_count
+    out["split"] = asdict(dec.split)
     out["decomposition"] = _decomposition_doc(dec)
-    human = [f"blocks: {list(dec.block_dims)} (commutant count {dec.commutant.count})"]
+    human = [f"blocks: {list(dec.block_dims)} (commutant count {dec.commutant_count})"]
     return out, human, 0
 
 
@@ -246,9 +248,8 @@ def _cmd_restrict(args, tol):
 
 def _cmd_match(args, tol):
     ch, vdoc = _load_channel(args.channel, tol)
-    commutant = commutant_basis(ch, tol)
-    d1 = iris_decompose(ch, tol, seed=args.seeds[0], commutant=commutant)
-    d2 = iris_decompose(ch, tol, seed=args.seeds[1], commutant=commutant)
+    d1 = iris_decompose(ch, tol, seed=args.seeds[0])
+    d2 = iris_decompose(ch, tol, seed=args.seeds[1])
     matching = match_decompositions(d1, d2, tol)
     out = _report_head("match", tol)
     out["seeds"] = list(args.seeds)
@@ -272,12 +273,13 @@ def _cmd_match(args, tol):
 
 def _cmd_fixed_states(args, tol):
     ch, dec, out = _decomposed(args, tol)
-    out["commutant_count"] = dec.commutant.count
+    out["commutant_count"] = dec.commutant_count
+    out["split"] = asdict(dec.split)
     out["decomposition"] = _decomposition_doc(dec)
     out["building_blocks"] = [
         {"dim": s.dim, "uniform_weight": s.dim / ch.dim} for s in dec.blocks
     ]
-    human = [f"{dec.commutant.count} fixed-point dimension(s), blocks {list(dec.block_dims)}"]
+    human = [f"{dec.commutant_count} fixed-point dimension(s), blocks {list(dec.block_dims)}"]
     if args.state:
         rho = parse_operator(_read(args.state))
         try:
@@ -373,7 +375,7 @@ def _cmd_capacity(args, tol):
         raise InvalidParameter("this quantity needs a channel document")
     alpha = 1.0 if args.alpha is None else args.alpha
     if args.quantity == "smin":
-        require_renyi_order(alpha)  # rejected before the commutant solve
+        require_renyi_order(alpha)  # rejected before the channel is decomposed
     ch, dec, out = _decomposed(args, tol)
     out["block_dims"] = list(dec.block_dims)
 

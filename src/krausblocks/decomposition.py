@@ -3,11 +3,16 @@ restriction, and matching of two decompositions.
 
 A subspace is invariant exactly when the channel fixes its projector;
 equivalently all Kraus operators are block-diagonal with respect to it. The
-decomposition routine solves the commutant once and splits the space in one
-step along the eigenspaces of the commutant projection of a random Hermitian
-matrix (so the split depends on the commutant and the seed, not on its
-basis), redrawn until the commutant compresses to the scalars (is
-irreducible) on every eigenspace.
+decomposition works in ``d x d`` arrays: it draws a random Hermitian element
+H of the algebra the Kraus operators generate and spins each irreducible
+block up from a random vector in an eigenspace of H (the smallest subspace
+every Kraus operator maps into itself), certified by a simple spectrum of H
+on the block. The blocks therefore depend on the Kraus operators and the
+seed. Near-reducible inputs, where that split is ill-conditioned, are split
+instead by the dense path: solve the ``d^2``-dimensional commutant and split
+along the eigenspaces of the commutant projection of a random Hermitian
+matrix, redrawn until the commutant compresses to the scalars on every
+eigenspace.
 """
 
 from __future__ import annotations
@@ -77,16 +82,34 @@ class Subspace:
         return cls(v.shape[0], q[:, keep])
 
 
+@dataclass(frozen=True)
+class SplitDecision:
+    """Which path split the space, ``"spin"`` or ``"dense"``, and how far its
+    deciding quantities were from their cutoffs. ``closure_margin`` is the
+    smallest singular value accepted while closing a block under the Kraus
+    operators, over the rank cut; ``eigengap_margin`` is the smallest gap
+    between eigenvalues of the drawn element on one block, over
+    ``tol.eigencluster``. Each is None where no block needed it (every block
+    one-dimensional), and both are None on the dense path."""
+
+    method: str
+    closure_margin: float | None = None
+    eigengap_margin: float | None = None
+
+
 @dataclass(frozen=True, eq=False)
 class IrisDecomposition:
     """Ordered orthogonal blocks covering the ambient space, each certified
-    irreducible (restricted commutant of size one), with the channel's
-    commutant they were split from when known."""
+    irreducible (restricted commutant of size one), with the dimension of the
+    channel's commutant and the path that split the space when known, and the
+    commutant itself when the dense path solved it."""
 
     ambient_dim: int
     blocks: tuple[Subspace, ...]
     irreducibility_certificates: tuple[int, ...]
     commutant: CommutantBasis | None = None
+    commutant_count: int | None = None
+    split: SplitDecision | None = None
     # the block bases side by side, in block order: a unitary once checked
     frame: np.ndarray = field(init=False, repr=False)
 
@@ -118,6 +141,16 @@ class IrisDecomposition:
         return tuple(sorted(self.block_dims))
 
 
+def _images(a: np.ndarray, b: np.ndarray):
+    """The images ``A_i B`` side by side as ``d x (m n)`` arrays, m Kraus
+    operators at a time, at most ``d^3`` entries each."""
+    d, n = b.shape
+    chunk = max(1, d * d // n)
+    for i in range(0, len(a), chunk):
+        ops = a[i : i + chunk]
+        yield (ops.reshape(-1, d) @ b).reshape(len(ops), d, n).transpose(1, 0, 2).reshape(d, -1)
+
+
 @dataclass(frozen=True)
 class InvarianceReport:
     invariant: bool
@@ -127,11 +160,17 @@ class InvarianceReport:
 def is_invariant_subspace(
     ch: KrausChannel, s: Subspace, tol: Tolerances = DEFAULT_TOL
 ) -> InvarianceReport:
-    """Projector-fixing test: S is invariant iff ``apply(ch, P_S) = P_S``."""
+    """Projector-fixing test: S is invariant iff ``apply(ch, P_S) = P_S``.
+
+    ``apply(ch, B B^dagger)`` is formed as ``sum_i (A_i B)(A_i B)^dagger``, a
+    few Kraus operators at a time: ``O(k d^2 dim S)`` time.
+    """
     if s.ambient_dim != ch.dim:
         raise DimensionMismatch(f"subspace ambient dim {s.ambient_dim} != channel dim {ch.dim}")
-    p = s.projector()
-    residual = max_abs(ch.apply(p) - p)
+    image = -s.projector()
+    for y in _images(ch.kraus, s.basis):
+        image += y @ y.conj().T
+    residual = max_abs(image)
     return InvarianceReport(invariant=residual <= tol.residual, residual=residual)
 
 
@@ -148,7 +187,7 @@ def offdiagonal_residual(ch: KrausChannel, s: Subspace) -> float:
     a = ch.kraus
     b = s.basis
     c = orthonormal_complement(b, s.ambient_dim)
-    return max(max_abs(c.conj().T @ a @ b), max_abs(b.conj().T @ a @ c))
+    return max(max_abs(c.conj().T @ (a @ b)), max_abs((b.conj().T @ a) @ c))
 
 
 def restrict(ch: KrausChannel, s: Subspace, tol: Tolerances = DEFAULT_TOL) -> KrausChannel:
@@ -164,18 +203,20 @@ def restrict(ch: KrausChannel, s: Subspace, tol: Tolerances = DEFAULT_TOL) -> Kr
 
 
 def _canonical_basis(basis: np.ndarray) -> np.ndarray:
-    """Re-orthonormalize and fix column phases so output is reproducible.
+    """The basis of a block fixed by its projector alone.
 
-    Each column is rotated so its largest-magnitude entry is real positive.
+    The columns B are re-orthonormalized and rotated onto the eigenvectors Y
+    of ``B^dagger D B`` for the fixed diagonal ``D = diag(0, 1, ..., d - 1)``,
+    which every orthonormal basis of the span rotates to alike; then each
+    column of ``B Y`` is rotated so its largest-magnitude entry is real
+    positive. Where ``B^dagger D B`` has a repeated eigenvalue, the basis
+    inside that eigenspace is still set by rounding.
     """
     q, _ = np.linalg.qr(basis)
-    out = np.array(q)
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        i = int(np.argmax(np.abs(col)))
-        phase = col[i] / abs(col[i])
-        out[:, j] = col * phase.conjugate()
-    return out
+    _, y = np.linalg.eigh((q.conj().T * np.arange(len(q))) @ q)
+    out = q @ y
+    lead = out[np.argmax(np.abs(out), axis=0), np.arange(out.shape[1])]
+    return out * (lead.conj() / np.abs(lead))
 
 
 def _block_sort_key(s: Subspace):
@@ -185,7 +226,10 @@ def _block_sort_key(s: Subspace):
     return (s.dim, tuple(float(x) for pair in zip(lead.real, lead.imag) for x in pair))
 
 
-_MAX_DRAWS = 8  # random fixed operators tried before a split fails
+_MAX_DRAWS = 8  # random elements tried before a split fails (dense) or falls back (spin)
+# an accepted closure singular value below this many rank cuts is too close to
+# the cut to trust: the dense path decides
+_CLOSURE_FLOOR = 100.0
 
 
 def _split(commutant: CommutantBasis, rng: np.random.Generator, tol: Tolerances) -> list:
@@ -209,33 +253,121 @@ def _split(commutant: CommutantBasis, rng: np.random.Generator, tol: Tolerances)
     )
 
 
-def iris_decompose(
-    ch: KrausChannel,
-    tol: Tolerances = DEFAULT_TOL,
-    seed: int = 0,
-    commutant: CommutantBasis | None = None,
-) -> IrisDecomposition:
-    """Decompose the space into irreducible invariant blocks of the channel.
+def _orthogonalized(y: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``y`` with the span of the orthonormal columns ``q`` projected out, twice."""
+    for _ in range(2):
+        y = y - q @ (q.conj().T @ y)
+    return y
 
-    The space is split once along the eigenspaces of a random element of the
-    channel's commutant, solved here unless ``commutant`` passes in that solve.
-    Every Kraus operator is simultaneously block-diagonal with respect to the
-    returned blocks (checked in the ambient space), the commutant compresses
-    to the scalars on each block, and the sorted dimension list is
-    independent of ``seed`` and of the Kraus representation. Deterministic
-    for a fixed seed.
 
-    Blocks are ordered by dimension ascending, ties broken by the rounded
-    column ``P[:, i] / sqrt(P_ii)`` of the block projector at its largest
-    diagonal entry. Blocks and order depend only on the commutant and
-    ``seed``; the basis inside a block of dimension above 1 is set by rounding.
+def _spin(a: np.ndarray, frame: np.ndarray, n: int, cut: float) -> tuple[int, float]:
+    """Close the unit column ``frame[:, n]`` under the Kraus operators ``a``.
+
+    The images ``A_i F`` of the newest columns F, with ``frame[:, :top]``
+    projected out, are folded a few operators at a time into a ``d x d``
+    factor with their column space and singular values; the singular vectors
+    above ``cut`` become the next columns, until none is left or the frame is
+    full. Returns ``top``, the end of the block ``frame[:, n:top]``, and the
+    smallest singular value accepted (inf if none).
     """
-    if commutant is None:
-        commutant = commutant_basis(ch, tol)
-    elif commutant.dim != ch.dim:
-        raise DimensionMismatch(f"commutant dim {commutant.dim} != channel dim {ch.dim}")
-    bases = _split(commutant, seeded_rng(seed), tol)
+    d = a.shape[1]
+    lo, top, smallest = n, n + 1, np.inf
+    while lo < top < d:
+        r = np.zeros((d, 0), dtype=complex)
+        for image in _images(a, frame[:, lo:top]):
+            y = _orthogonalized(np.concatenate([r, image], axis=1), frame[:, :top])
+            r = np.linalg.qr(y.conj().T, mode="r").conj().T if y.shape[1] > d else y
+        u, s, _ = np.linalg.svd(r, full_matrices=False)
+        grown = min(int(np.count_nonzero(s > cut)), d - top)
+        if grown:
+            smallest = min(smallest, float(s[grown - 1]))
+        frame[:, top : top + grown] = u[:, :grown]
+        lo, top = top, top + grown
+    return top, smallest
 
+
+def _spin_blocks(
+    a: np.ndarray, h: np.ndarray, rng: np.random.Generator, tol: Tolerances, cut: float
+):
+    """Blocks spun from each eigenspace of the normalized Hermitian ``h`` in
+    turn, from a random vector of the part not yet covered, until it is
+    covered: a list of (eigenspace dimension, block bases) with the smallest
+    closure singular value and eigengap; None when ``h`` repeats an eigenvalue
+    on a block, so the draw must be redrawn."""
+    d = a.shape[1]
+    frame = np.zeros((d, d), dtype=complex)
+    n, groups, closure, gap = 0, [], np.inf, np.inf
+    w, v = hermitian_eig(h, tol)
+    for idx in cluster_eigenvalues(w, tol.eigencluster):
+        spun = []
+        while n < d:
+            u, s, _ = np.linalg.svd(_orthogonalized(v[:, idx], frame[:, :n]), full_matrices=False)
+            room = u[:, s > 0.5]  # exactly 0 or 1: covered blocks reduce h
+            if not room.shape[1]:
+                break
+            z = rng.standard_normal((2, d))
+            x = room @ (room.conj().T @ (z[0] + 1j * z[1]))  # drawn in the ambient space
+            frame[:, n] = x / np.linalg.norm(x)
+            top, sigma = _spin(a, frame, n, cut)
+            block = frame[:, n:top]
+            gaps = np.diff(np.linalg.eigvalsh(block.conj().T @ h @ block))
+            if np.any(gaps <= tol.eigencluster):
+                return None
+            closure, gap = min(closure, sigma), min(gap, float(np.min(gaps, initial=np.inf)))
+            spun.append(block)
+            n = top
+        groups.append((len(idx), spun))
+    return groups, closure, gap
+
+
+def _spin_split(a: np.ndarray, rng: np.random.Generator, tol: Tolerances):
+    """Split the space in ``d x d`` work: block bases, the commutant dimension
+    and the decision, or None when the dense path must decide.
+
+    H = X + X^dagger with X = B_0 + B_1 B_2^dagger and ``B_j = sum_i c_ji A_i``
+    for a complex Gaussian c lies in the algebra the Kraus operators generate,
+    ``H = sum_c H_c kron I_(m_c)`` in Wedderburn form. The block a vector of
+    one eigenspace of H spins up to is irreducible when H has a simple
+    spectrum on it (any operator commuting with the block's algebra is then
+    diagonal in H's eigenbasis and fixes the cyclic vector); an eigenspace
+    of ``H_c`` spins ``m_c`` equal-dimension copies, which add ``m_c^2`` to
+    the commutant. A repeated eigenvalue on a block is redrawn,
+    up to ``_MAX_DRAWS`` times. The rank cut is ``tol.nullspace`` times the
+    Kraus scale ``sqrt(sum_i |A_i|_F^2 / d)``.
+    """
+    k, d = a.shape[0], a.shape[1]
+    cut = tol.nullspace * float(np.sqrt(np.vdot(a, a).real / d))
+    for _ in range(_MAX_DRAWS):
+        z = rng.standard_normal((2, 3, k))
+        b = np.tensordot(z[0] + 1j * z[1], a, axes=1)
+        x = b[0] + b[1] @ b[2].conj().T
+        h = x + x.conj().T
+        spun = _spin_blocks(a, h / (max_abs(h) or 1.0), rng, tol, cut)
+        if spun is not None:
+            break
+    else:
+        return None
+    groups, closure, gap = spun
+    bases = [block for _, blocks in groups for block in blocks]
+    if (
+        sum(block.shape[1] for block in bases) != d
+        or closure < _CLOSURE_FLOOR * cut
+        or any(blocks and (len(blocks) != m or len({b.shape[1] for b in blocks}) > 1)
+               for m, blocks in groups)
+    ):
+        return None
+    count = sum(len(blocks) ** 2 for _, blocks in groups)
+    decision = SplitDecision(
+        "spin",
+        closure_margin=None if closure == np.inf else closure / cut,
+        eigengap_margin=None if gap == np.inf else gap / tol.eigencluster,
+    )
+    return bases, count, decision
+
+
+def _certified_blocks(ch: KrausChannel, bases, tol: Tolerances) -> tuple[Subspace, ...]:
+    """The blocks in canonical basis and order, each checked block-diagonal
+    and invariant in the ambient space (ToleranceFailure otherwise)."""
     blocks = sorted(
         (Subspace(ch.dim, _canonical_basis(b)) for b in bases), key=_block_sort_key
     )
@@ -249,11 +381,67 @@ def iris_decompose(
             raise ToleranceFailure(
                 f"a recovered block failed the invariance check (residual={report.residual:.3e})"
             )
+    return tuple(blocks)
+
+
+def iris_decompose(
+    ch: KrausChannel,
+    tol: Tolerances = DEFAULT_TOL,
+    seed: int = 0,
+    commutant: CommutantBasis | None = None,
+) -> IrisDecomposition:
+    """Decompose the space into irreducible invariant blocks of the channel.
+
+    The space is split by spinning blocks up from a random element of the
+    algebra the Kraus operators generate (:func:`_spin_split`), in ``d x d``
+    work. The dense path decides instead when ``commutant`` is given, or when
+    the spin-up is near its cutoffs: an accepted closure singular value below
+    100 rank cuts, a spun block that fails the checks below, eigenspaces that
+    spin copies of unequal dimension or in another number than their
+    dimension, or ``_MAX_DRAWS`` draws that each repeat an eigenvalue on a
+    block. The dense path splits along the eigenspaces of a random element
+    of the channel's commutant, solved here unless ``commutant`` passes in
+    that solve. ``split`` records the path and its margins.
+
+    Every Kraus operator is simultaneously block-diagonal with respect to the
+    returned blocks (checked in the ambient space), each block is
+    irreducible, and the sorted dimension list is independent of ``seed``
+    and of the Kraus representation. Deterministic for a fixed seed.
+
+    Blocks are ordered by dimension ascending, ties broken by the rounded
+    column ``P[:, i] / sqrt(P_ii)`` of the block projector at its largest
+    diagonal entry. Where the decomposition is unique the blocks are too;
+    isomorphic copies depend on the Kraus operators and ``seed`` (spin path)
+    or on the commutant and ``seed`` (dense path). The basis inside a block
+    is fixed by the block's projector (:func:`_canonical_basis`).
+    """
+    if commutant is None:
+        spun = _spin_split(ch.kraus, seeded_rng(seed), tol)
+        if spun is not None:
+            bases, count, decision = spun
+            try:
+                blocks = _certified_blocks(ch, bases, tol)
+            except ToleranceFailure:
+                pass  # a spun block leaks: the dense path decides
+            else:
+                return IrisDecomposition(
+                    ambient_dim=ch.dim,
+                    blocks=blocks,
+                    irreducibility_certificates=(1,) * len(blocks),
+                    commutant_count=count,
+                    split=decision,
+                )
+        commutant = commutant_basis(ch, tol)
+    elif commutant.dim != ch.dim:
+        raise DimensionMismatch(f"commutant dim {commutant.dim} != channel dim {ch.dim}")
+    blocks = _certified_blocks(ch, _split(commutant, seeded_rng(seed), tol), tol)
     return IrisDecomposition(
         ambient_dim=ch.dim,
-        blocks=tuple(blocks),
+        blocks=blocks,
         irreducibility_certificates=(1,) * len(blocks),
         commutant=commutant,
+        commutant_count=commutant.count,
+        split=SplitDecision("dense"),
     )
 
 

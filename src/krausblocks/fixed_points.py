@@ -9,6 +9,12 @@ coordinates; the kernel is then decided on the singular values of the
 commutators themselves, not on their squares, so the verdict is the one the
 stacked commutation system gives. That system is better conditioned than the
 null space of (superoperator - identity), kept as a test oracle.
+
+The block decomposition does not need this solve on its main path: it spins
+its blocks up from a random element of the algebra the Kraus operators
+generate, so they depend on the Kraus operators and the seed, and counts the
+commutant from them. The solve serves its dense fallback, the projection of a
+degenerate fixed state, and callers of :func:`commutant_basis`.
 """
 
 from __future__ import annotations

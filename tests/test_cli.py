@@ -154,6 +154,20 @@ class TestDecompose:
         for block in rep["decomposition"]["blocks"]:
             assert len(block["basis"]) == 5 * block["dim"]
 
+    def test_split_decision(self, tmp_path):
+        ch, _, _ = rotated_direct_sum((2, 3), seed=19)
+        path = write(tmp_path, "ch.json", dumps_report(channel_to_document(ch)))
+        code, out, _ = run(["decompose", path])
+        split = json.loads(out)["split"]
+        assert code == 0 and split["method"] == "spin"
+        assert split["closure_margin"] >= 100 and split["eigengap_margin"] > 1
+        # near-reducible: the dense path decides, and has no margins to report
+        near = write(tmp_path, "near.json", dumps_report(channel_to_document(coupled_blocks(1e-7))))
+        code, out, _ = run(["fixed-states", near])
+        rep = json.loads(out)
+        assert code == 0 and rep["commutant_count"] == 1
+        assert rep["split"] == {"method": "dense", "closure_margin": None, "eigengap_margin": None}
+
     def test_byte_identical_reports(self, depolarizing_doc):
         code1, out1, _ = run(["decompose", depolarizing_doc, "--seed", "3"])
         code2, out2, _ = run(["decompose", depolarizing_doc, "--seed", "3"])
@@ -185,7 +199,7 @@ class TestOneCommutantSolve:
         calls = count_calls(monkeypatch, fixed_points, "commutant_basis")
         code, out, _ = run([verb[0], path, *verb[1:]])
         assert code == 0
-        assert len(calls) == 1
+        assert len(calls) == 0  # the spin path counts the commutant without solving it
         if verb[0] in ("decompose", "fixed-states"):
             assert json.loads(out)["commutant_count"] == len(dims)
 
@@ -195,7 +209,7 @@ class TestOneCommutantSolve:
         calls = count_calls(monkeypatch, fixed_points, "commutant_basis")
         code, _, _ = run(["match", path, "--seeds", "1", "2"])
         assert code == 0
-        assert len(calls) == 1
+        assert len(calls) == 0
 
     def test_degenerate_state_reuses_the_solve(self, tmp_path, monkeypatch):
         from krausblocks import identity_channel
@@ -235,17 +249,17 @@ class TestOneValidation:
 class TestNumericalFailure:
     @pytest.mark.parametrize("error", [MemoryError, np.linalg.LinAlgError])
     def test_exit_3_with_report(self, monkeypatch, depolarizing_doc, error):
-        from krausblocks import fixed_points
+        from krausblocks import decomposition
 
         def fail(*args, **kwargs):
-            raise error("commutant solve failed")
+            raise error("split failed")
 
-        monkeypatch.setattr(fixed_points, "_commutant_kernel", fail)
+        monkeypatch.setattr(decomposition, "_spin_split", fail)
         code, out, err = run(["decompose", depolarizing_doc])
         assert code == 3
         rep = json.loads(out)
         assert rep["command"] == "decompose"
-        assert rep["error"] == {"type": error.__name__, "message": "commutant solve failed"}
+        assert rep["error"] == {"type": error.__name__, "message": "split failed"}
         assert "Traceback" not in err
 
 

@@ -5,6 +5,7 @@ from krausblocks import (
     CommutantBasis,
     DecompositionMatching,
     IrisDecomposition,
+    KrausChannel,
     MatchingComponent,
     Subspace,
     commutant_basis,
@@ -29,11 +30,11 @@ from krausblocks.errors import (
     NotOrthonormal,
     ToleranceFailure,
 )
-from krausblocks import fixed_points
-from krausblocks.decomposition import _split
+from krausblocks import decomposition, fixed_points
+from krausblocks.decomposition import _spin_split, _split
 from krausblocks.linalg import DEFAULT_TOL, max_abs
 
-from tests.test_golden import CASES as GOLDEN_CASES
+from tests.test_golden import CASES as GOLDEN_CASES, NON_DEGENERATE
 from tests.util import (
     count_calls,
     coupled_blocks,
@@ -200,11 +201,12 @@ class TestDecompose:
 
     @pytest.mark.parametrize("dims", [(1, 2, 3), (6,)])
     def test_one_commutant_solve(self, monkeypatch, dims):
+        # at most one: the spin path counts the commutant without solving it
         ch, _, _ = rotated_direct_sum(dims, seed=21)
         calls = count_calls(monkeypatch, fixed_points, "commutant_basis")
         dec = iris_decompose(ch, seed=0)
-        assert len(calls) == 1
-        assert dec.commutant.count == len(dims)
+        assert len(calls) == 0
+        assert dec.commutant_count == len(dims)
 
     @pytest.mark.parametrize(
         "eps, dims",
@@ -269,8 +271,10 @@ class TestOneSplit:
         calls = count_calls(monkeypatch, fixed_points, "commutant_basis")
         dec = iris_decompose(self.ch, seed=3, commutant=self.commutant)
         assert calls == [] and dec.commutant is self.commutant
+        assert dec.split.method == "dense"
+        # the spin path finds the same blocks, and the projectors fix the bases
         for a, b in zip(dec.blocks, iris_decompose(self.ch, seed=3).blocks):
-            assert max_abs(a.basis - b.basis) == 0.0
+            assert max_abs(a.basis - b.basis) <= 1e-10
 
     def test_commutant_of_another_dimension(self):
         with pytest.raises(DimensionMismatch):
@@ -304,6 +308,136 @@ class TestBasisFreeSplit:
             assert dec.block_dims == ref.block_dims
             for a, b in zip(dec.blocks, ref.blocks):
                 assert max_abs(a.projector() - b.projector()) <= 1e-10
+
+
+def rotated(ch, seed):
+    u = haar_unitary(ch.dim, np.random.default_rng(seed))
+    return KrausChannel.from_kraus(u @ ch.kraus @ u.conj().T)
+
+
+def depolarizing_sum(dims, seed):
+    """Depolarizing blocks of the given dimensions and random strengths,
+    summed with a shared environment under a Haar unitary."""
+    rng = np.random.default_rng(seed)
+    ch = depolarizing_channel(dims[0], rng.uniform(0.2, 0.9))
+    for d in dims[1:]:
+        ch = direct_sum(ch, depolarizing_channel(d, rng.uniform(0.2, 0.9)))
+    return rotated(ch, seed)
+
+
+# the channel shapes of the three benchmark workloads (blocks-mid, kraus-heavy,
+# capacity-small), each at one seed
+WORKLOAD_SHAPES = (
+    [lambda s, d=d: rotated_direct_sum((d,), seed=s)[0] for d in (2, 3, 4, 5, 6, 16, 18)]
+    + [lambda s, dims=dims: rotated_direct_sum(dims, seed=s)[0]
+       for dims in ((1, 2), (1, 3), (2, 3), (1, 2, 3), (4, 5, 7), (3, 5, 7, 9))]
+    + [lambda s, dims=dims: rotated_direct_sum(dims, seed=s, shared_environment=False)[0]
+       for dims in ((1, 2), (1, 3), (1, 4), (7, 9), (2, 5, 9))]
+    + [lambda s, d=d: rotated(depolarizing_channel(d, 0.2 + 0.07 * d), s)
+       for d in (2, 3, 4, 5, 6, 8, 9, 11)]
+    + [lambda s, dims=dims: depolarizing_sum(dims, s)
+       for dims in ((3, 5), (4, 6), (3, 4, 5), (5, 7), (2, 6), (2, 3, 4), (3, 6))]
+    + [lambda s, d=d: rotated(dephasing_channel(d), s) for d in (2, 3, 4, 5, 6)]
+)
+
+
+class ScriptedCoefficients:
+    """Random generator stand-in for ``_spin_split``: the scripted draws serve
+    the draws of their own shape (H's coefficients) first, every other draw
+    comes from a seeded generator, and the shape of every draw is recorded."""
+
+    def __init__(self, draws, seed=0):
+        self.draws = list(draws)
+        self.rng = np.random.default_rng(seed)
+        self.shapes = []
+
+    def standard_normal(self, shape):
+        self.shapes.append(shape)
+        if self.draws and self.draws[0].shape == shape:
+            return self.draws.pop(0)
+        return self.rng.standard_normal(shape)
+
+
+class TestSpinSplit:
+    def setup_method(self):
+        # I/sqrt(2) as a Kraus operator: coefficients on it alone draw H = c I
+        ch, _, self.projectors = rotated_direct_sum((1, 2, 3), seed=21)
+        ops = np.concatenate([np.eye(6)[None] / np.sqrt(2), ch.kraus / np.sqrt(2)])
+        self.ch = KrausChannel.from_kraus(ops)
+        self.scalar_draw = np.zeros((2, 3, len(ops)))
+        self.scalar_draw[0, 0, 0] = 1.0
+
+    def test_shared_eigenvalue_is_redrawn(self):
+        rng = ScriptedCoefficients([self.scalar_draw])
+        bases, count, decision = _spin_split(self.ch.kraus, rng, DEFAULT_TOL)
+        assert rng.shapes.count(self.scalar_draw.shape) == 2
+        assert count == 3 and decision.method == "spin"
+        for b, p in zip(sorted(bases, key=lambda b: b.shape[1]), self.projectors):
+            assert max_abs(b @ b.conj().T - p) < 1e-9
+
+    def test_every_draw_shared_falls_back(self, monkeypatch):
+        rng = ScriptedCoefficients([self.scalar_draw] * 8, seed=4)
+        scripted = [rng]
+        monkeypatch.setattr(
+            decomposition,
+            "seeded_rng",
+            lambda seed: scripted.pop() if scripted else np.random.default_rng(seed),
+        )
+        calls = count_calls(monkeypatch, fixed_points, "commutant_basis")
+        dec = iris_decompose(self.ch, seed=4)
+        assert rng.draws == [] and len(calls) == 1 and dec.split.method == "dense"
+        assert dec.split.closure_margin is None and dec.split.eigengap_margin is None
+        ref = iris_decompose(self.ch, seed=4, commutant=commutant_basis(self.ch))
+        for a, b in zip(dec.blocks, ref.blocks):
+            assert max_abs(a.basis - b.basis) == 0.0
+
+    @pytest.mark.parametrize(
+        "name", ["identity_d3", "copies_3x2", "dephasing_d4"] + NON_DEGENERATE
+    )
+    def test_commutant_count(self, name):
+        ch = GOLDEN_CASES[name]()
+        dec = iris_decompose(ch, seed=3)
+        assert dec.split.method == "spin"
+        assert dec.commutant_count == commutant_basis(ch).count
+
+    def test_identity_count(self):
+        assert iris_decompose(identity_channel(3)).commutant_count == 9
+
+    @pytest.mark.parametrize("name", NON_DEGENERATE)
+    def test_no_dense_arrays(self, monkeypatch, name):
+        ch = GOLDEN_CASES[name]()
+        solves = count_calls(monkeypatch, fixed_points, "commutant_basis")
+        supers = count_calls(monkeypatch, KrausChannel, "superoperator_matrix")
+        dec = iris_decompose(ch, seed=3)
+        assert dec.split.method == "spin" and dec.commutant is None
+        assert solves == [] and supers == []
+
+    def test_margins_clear_the_fallback(self):
+        dec = iris_decompose(rotated_direct_sum((2, 3), seed=8)[0], seed=1)
+        assert dec.split.closure_margin >= 100 and dec.split.eigengap_margin > 1
+        rays = iris_decompose(identity_channel(3)).split
+        assert rays.closure_margin is None and rays.eigengap_margin is None
+
+    def test_no_fallback_on_workload_shapes(self, monkeypatch):
+        calls = count_calls(monkeypatch, fixed_points, "commutant_basis")
+        for seed, make in enumerate(WORKLOAD_SHAPES):
+            assert iris_decompose(make(seed), seed=seed).split.method == "spin"
+        assert calls == []
+
+    def test_fallback_in_the_near_reducible_band(self, monkeypatch):
+        # the spin path hands some of these to the dense path, and every
+        # verdict is the one the dense path gives
+        def verdict(ch, commutant=None):
+            try:
+                return iris_decompose(ch, commutant=commutant).dimension_multiset()
+            except ToleranceFailure:
+                return None
+
+        band = [coupled_blocks(eps, seed) for eps in (1e-6, 1e-7, 1e-8) for seed in range(3)]
+        dense = [verdict(ch, commutant_basis(ch)) for ch in band]
+        calls = count_calls(monkeypatch, fixed_points, "commutant_basis")
+        assert [verdict(ch) for ch in band] == dense
+        assert len(calls) >= 1
 
 
 class TestRestrict:

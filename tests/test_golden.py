@@ -3,20 +3,18 @@ and the commutant projector of ``commutant_basis``.
 
 The recorded values guard refactors of the decomposition: every case must
 reproduce its block dimensions exactly and its block projectors to 1e-10.
-Degenerate cases (identity, dephasing, isomorphic copies) are included on
-purpose, since their blocks depend on the random fixed operator drawn
-during the split and so expose any change in the draw. That operator is
-the commutant projection of a seeded random Hermitian matrix, so the blocks
-and their order depend only on the commutant subspace and the seed: a new
-commutant solver that finds the same subspace must reproduce every case
-without re-recording. The basis inside a block is not recorded; it is set
-by rounding.
+Degenerate cases (identity, isomorphic copies) are included on purpose: their
+split into copies is not unique and depends on the random element H of the
+Kraus algebra, and the random vectors, drawn during the spin-up, so they
+expose any change in those draws. Where the decomposition is unique (the
+other cases, ``NON_DEGENERATE``) the blocks depend on neither, and the basis
+reported inside each block is fixed by its projector, so it agrees across
+seeds and between the spin and the dense path.
 
 The commutant projector is the orthogonal projector onto the span of the
 vectorized commutant, ``sum_j vec(H_j) vec(H_j)^dagger`` over the
 orthonormal Hermitian basis. It does not depend on the basis, so it guards
-the commutant solve to 1e-10 even in the degenerate cases, where the split
-into isomorphic copies is not unique.
+the commutant solve (the dense path) to 1e-10 even in the degenerate cases.
 
 Regenerate (only when a behaviour change is intended) with
 ``PYTHONPATH=src python -m tests.test_golden``, or re-record only the blocks
@@ -75,6 +73,10 @@ CASES = {
 }
 
 
+# cases whose decomposition is unique: no isomorphic copies
+NON_DEGENERATE = sorted(set(CASES) - {"identity_d3", "identity_d5", "copies_3x2"})
+
+
 def _decompose(name: str):
     return iris_decompose(CASES[name](), seed=DECOMPOSE_SEED)
 
@@ -126,6 +128,19 @@ def test_decomposition_matches_golden(golden, name):
     assert list(dec.block_dims) == want["block_dims"]
     for s, p in zip(dec.blocks, want["projectors"]):
         assert np.max(np.abs(s.projector() - _unwire(p))) <= 1e-10
+
+
+@pytest.mark.parametrize("name", NON_DEGENERATE)
+def test_bases_fixed_by_projectors(name):
+    ch = CASES[name]()
+    ref = iris_decompose(ch, seed=0)
+    decs = [iris_decompose(ch, seed=s) for s in (1, 2, 3)]
+    decs.append(iris_decompose(ch, seed=0, commutant=commutant_basis(ch)))
+    assert ref.split.method == "spin" and decs[-1].split.method == "dense"
+    for dec in decs:
+        assert dec.block_dims == ref.block_dims
+        for a, b in zip(dec.blocks, ref.blocks):
+            assert np.max(np.abs(a.basis - b.basis)) <= 1e-10
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

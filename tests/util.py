@@ -110,16 +110,19 @@ def coupled_blocks(eps: float, seed: int = 0) -> KrausChannel:
     return KrausChannel.from_kraus([g @ a for a in ch.kraus])
 
 
-def count_calls(monkeypatch, module, name: str) -> list:
-    """Patch ``module.<name>`` in every package module that imported it; the
-    returned list gains one entry per call."""
+def count_calls(monkeypatch, owner, name: str) -> list:
+    """Patch ``owner.<name>``: a method when ``owner`` is a class, else a module
+    function in every package module that imported it; the returned list
+    gains one entry per call."""
     calls = []
-    real = getattr(module, name)
+    real = getattr(owner, name)
 
     def counting(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
+    if isinstance(owner, type):
+        monkeypatch.setattr(owner, name, counting)
     for m in (channel, fixed_points, decomposition, measurement, capacity, cli):
         if getattr(m, name, None) is real:
             monkeypatch.setattr(m, name, counting)
