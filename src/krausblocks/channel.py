@@ -144,16 +144,6 @@ class KrausChannel:
         return KrausChannel.from_kraus(mixed, tol)
 
 
-def vec(sigma: np.ndarray) -> np.ndarray:
-    """Column-stack a matrix into a vector."""
-    return np.asarray(sigma, dtype=complex).flatten(order="F")
-
-
-def unvec(v: np.ndarray, dim: int) -> np.ndarray:
-    """Inverse of :func:`vec` for a ``dim x dim`` matrix."""
-    return np.asarray(v, dtype=complex).reshape((dim, dim), order="F")
-
-
 def superoperator_distance(a: KrausChannel, b: KrausChannel) -> float:
     """Max-entry distance between the two superoperator matrices.
 

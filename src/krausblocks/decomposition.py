@@ -3,16 +3,16 @@ restriction, and matching of two decompositions.
 
 A subspace is invariant exactly when the channel fixes its projector;
 equivalently all Kraus operators are block-diagonal with respect to it. The
-decomposition works in ``d x d`` arrays: it draws a random Hermitian element
-H of the algebra the Kraus operators generate and spins each irreducible
-block up from a random vector in an eigenspace of H (the smallest subspace
-every Kraus operator maps into itself), certified by a simple spectrum of H
-on the block. The blocks therefore depend on the Kraus operators and the
-seed. Near-reducible inputs, where that split is ill-conditioned, are split
-instead by the dense path: solve the ``d^2``-dimensional commutant and split
-along the eigenspaces of the commutant projection of a random Hermitian
-matrix, redrawn until the commutant compresses to the scalars on every
-eigenspace.
+decomposition works in ``d x d`` arrays only: it draws a random Hermitian
+element H of the algebra the Kraus operators generate and spins each
+irreducible block up from a random vector in an eigenspace of H (the
+smallest subspace every Kraus operator maps into itself), certified by a
+simple spectrum of H on the block. The blocks therefore depend on the Kraus
+operators and the seed. Near-reducible inputs, where that split is
+ill-conditioned, are refined instead: subspace iteration with the
+symmetrized channel finds the operators that commute with every Kraus
+operator to within the null-space cut, and the space splits along the
+eigenspaces of a random one of them.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .errors import (
     NotInvariant,
     ToleranceFailure,
 )
-from .fixed_points import CommutantBasis, commutant_basis
 from .linalg import (
     DEFAULT_TOL,
     Tolerances,
@@ -84,13 +83,13 @@ class Subspace:
 
 @dataclass(frozen=True)
 class SplitDecision:
-    """Which path split the space, ``"spin"`` or ``"dense"``, and how far its
-    deciding quantities were from their cutoffs. ``closure_margin`` is the
-    smallest singular value accepted while closing a block under the Kraus
-    operators, over the rank cut; ``eigengap_margin`` is the smallest gap
-    between eigenvalues of the drawn element on one block, over
+    """Which path split the space, ``"spin"`` or ``"refined"``, and how far
+    its deciding quantities were from their cutoffs. ``closure_margin`` is
+    the smallest singular value accepted while closing a block under the
+    Kraus operators, over the rank cut; ``eigengap_margin`` is the smallest
+    gap between eigenvalues of the drawn element on one block, over
     ``tol.eigencluster``. Each is None where no block needed it (every block
-    one-dimensional), and both are None on the dense path."""
+    one-dimensional), and both are None on the refined path."""
 
     method: str
     closure_margin: float | None = None
@@ -101,13 +100,11 @@ class SplitDecision:
 class IrisDecomposition:
     """Ordered orthogonal blocks covering the ambient space, each certified
     irreducible (restricted commutant of size one), with the dimension of the
-    channel's commutant and the path that split the space when known, and the
-    commutant itself when the dense path solved it."""
+    channel's commutant and the path that split the space when known."""
 
     ambient_dim: int
     blocks: tuple[Subspace, ...]
     irreducibility_certificates: tuple[int, ...]
-    commutant: CommutantBasis | None = None
     commutant_count: int | None = None
     split: SplitDecision | None = None
     # the block bases side by side, in block order: a unitary once checked
@@ -226,31 +223,10 @@ def _block_sort_key(s: Subspace):
     return (s.dim, tuple(float(x) for pair in zip(lead.real, lead.imag) for x in pair))
 
 
-_MAX_DRAWS = 8  # random elements tried before a split fails (dense) or falls back (spin)
-# an accepted closure singular value below this many rank cuts is too close to
-# the cut to trust: the dense path decides
-_CLOSURE_FLOOR = 100.0
-
-
-def _split(commutant: CommutantBasis, rng: np.random.Generator, tol: Tolerances) -> list:
-    """Orthonormal bases of the irreducible blocks: the eigenspaces of the
-    commutant projection of a random traceless Hermitian matrix, redrawn while
-    it merges blocks (an eigenspace fails :meth:`CommutantBasis.is_scalar_on`)."""
-    d = commutant.dim
-    if commutant.count == 1:
-        return [np.eye(d, dtype=complex)]
-    for _ in range(_MAX_DRAWS):
-        z = rng.standard_normal((2, d, d))
-        x = z[0] + z[0].T + 1j * (z[1] - z[1].T)  # Z + Z^dagger
-        sigma = commutant.project(x - np.trace(x) / d * np.eye(d))  # traceless: I is fixed
-        w, v = hermitian_eig(sigma / max_abs(sigma), tol)
-        bases = [v[:, idx] for idx in cluster_eigenvalues(w, tol.eigencluster)]
-        if all(commutant.is_scalar_on(b, tol) for b in bases):
-            return bases
-    raise ToleranceFailure(
-        f"could not split a reducible space: {_MAX_DRAWS} random fixed operators each merged "
-        "blocks at the configured eigencluster width"
-    )
+_MAX_DRAWS = 8  # random elements drawn before a spin gives up
+_CLOSURE_FLOOR = 100.0  # accepted closure singular values below this many cuts: refine
+_LOOSE_CUT = 1e-5  # relative rank cut of a spin that seeds the refined path
+_MAX_SWEEPS = 200  # subspace-iteration sweeps of the refined path
 
 
 def _orthogonalized(y: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -284,6 +260,18 @@ def _spin(a: np.ndarray, frame: np.ndarray, n: int, cut: float) -> tuple[int, fl
         frame[:, top : top + grown] = u[:, :grown]
         lo, top = top, top + grown
     return top, smallest
+
+
+def _algebra_element(a: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """A random Hermitian element of the algebra the Kraus operators generate,
+    ``H = sum_c H_c kron I_(m_c)`` in Wedderburn form, scaled to largest entry
+    1: ``H = X + X^dagger`` with ``X = B_0 + B_1 B_2^dagger`` and
+    ``B_j = sum_i c_ji A_i`` for a complex Gaussian c."""
+    z = rng.standard_normal((2, 3, len(a)))
+    b = np.tensordot(z[0] + 1j * z[1], a, axes=1)
+    x = b[0] + b[1] @ b[2].conj().T
+    h = x + x.conj().T
+    return h / (max_abs(h) or 1.0)
 
 
 def _spin_blocks(
@@ -320,33 +308,34 @@ def _spin_blocks(
     return groups, closure, gap
 
 
+def _spin_draws(a: np.ndarray, rng: np.random.Generator, tol: Tolerances, cut: float):
+    """:func:`_spin_blocks` of the first of up to ``_MAX_DRAWS`` random
+    elements that has a simple spectrum on every block; None if none has."""
+    for _ in range(_MAX_DRAWS):
+        spun = _spin_blocks(a, _algebra_element(a, rng), rng, tol, cut)
+        if spun is not None:
+            return spun
+    return None
+
+
 def _spin_split(a: np.ndarray, rng: np.random.Generator, tol: Tolerances):
     """Split the space in ``d x d`` work: block bases, the commutant dimension
-    and the decision, or None when the dense path must decide.
+    and the decision; the count and decision are None, with the bases spun
+    (if any), when the refined path must decide.
 
-    H = X + X^dagger with X = B_0 + B_1 B_2^dagger and ``B_j = sum_i c_ji A_i``
-    for a complex Gaussian c lies in the algebra the Kraus operators generate,
-    ``H = sum_c H_c kron I_(m_c)`` in Wedderburn form. The block a vector of
-    one eigenspace of H spins up to is irreducible when H has a simple
-    spectrum on it (any operator commuting with the block's algebra is then
-    diagonal in H's eigenbasis and fixes the cyclic vector); an eigenspace
-    of ``H_c`` spins ``m_c`` equal-dimension copies, which add ``m_c^2`` to
-    the commutant. A repeated eigenvalue on a block is redrawn,
-    up to ``_MAX_DRAWS`` times. The rank cut is ``tol.nullspace`` times the
-    Kraus scale ``sqrt(sum_i |A_i|_F^2 / d)``.
+    The block a vector of one eigenspace of H (:func:`_algebra_element`)
+    spins up to is irreducible when H has a simple spectrum on it (any
+    operator commuting with the block's algebra is then diagonal in H's
+    eigenbasis and fixes the cyclic vector); an eigenspace of ``H_c`` spins
+    ``m_c`` equal-dimension copies, which add ``m_c^2`` to the commutant. A
+    repeated eigenvalue on a block is redrawn (:func:`_spin_draws`). The rank
+    cut is ``tol.nullspace`` times the Kraus scale ``sqrt(sum_i |A_i|_F^2 / d)``.
     """
-    k, d = a.shape[0], a.shape[1]
+    d = a.shape[1]
     cut = tol.nullspace * float(np.sqrt(np.vdot(a, a).real / d))
-    for _ in range(_MAX_DRAWS):
-        z = rng.standard_normal((2, 3, k))
-        b = np.tensordot(z[0] + 1j * z[1], a, axes=1)
-        x = b[0] + b[1] @ b[2].conj().T
-        h = x + x.conj().T
-        spun = _spin_blocks(a, h / (max_abs(h) or 1.0), rng, tol, cut)
-        if spun is not None:
-            break
-    else:
-        return None
+    spun = _spin_draws(a, rng, tol, cut)
+    if spun is None:
+        return [], None, None
     groups, closure, gap = spun
     bases = [block for _, blocks in groups for block in blocks]
     if (
@@ -355,7 +344,7 @@ def _spin_split(a: np.ndarray, rng: np.random.Generator, tol: Tolerances):
         or any(blocks and (len(blocks) != m or len({b.shape[1] for b in blocks}) > 1)
                for m, blocks in groups)
     ):
-        return None
+        return bases, None, None
     count = sum(len(blocks) ** 2 for _, blocks in groups)
     decision = SplitDecision(
         "spin",
@@ -363,6 +352,102 @@ def _spin_split(a: np.ndarray, rng: np.random.Generator, tol: Tolerances):
         eigengap_margin=None if gap == np.inf else gap / tol.eigencluster,
     )
     return bases, count, decision
+
+
+def _real(x: np.ndarray) -> np.ndarray:
+    """A stack of complex matrices as the rows of a real array, whose dot
+    product is the trace inner product ``Re tr(X^dagger Y)``."""
+    return np.ascontiguousarray(x.reshape(len(x), -1)).view(float)
+
+
+def _orthonormal(x: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """An orthonormal basis, under the trace inner product, of the traceless
+    Hermitian parts of the stack ``x``: one QR, without the directions whose
+    pivot is at most ``tol.nullspace`` relative."""
+    d = x.shape[-1]
+    x = (x + x.conj().transpose(0, 2, 1)) / 2
+    x = x - np.trace(x, axis1=1, axis2=2)[:, None, None] * (np.eye(d) / d)
+    q, r = np.linalg.qr(_real(x).T)
+    q = q[:, np.abs(np.diagonal(r)) > tol.nullspace * max_abs(r)]
+    return np.ascontiguousarray(q.T).view(complex).reshape(-1, d, d)
+
+
+def _commutators(a: np.ndarray, x: np.ndarray):
+    """For the orthonormal Hermitian stack ``x``, a few Kraus operators at a
+    time: the R factor of the commutators ``[A_i, X]`` stacked as real arrays,
+    with the unsquared singular values of ``X -> ([A_i, X])_i`` on the span
+    of ``x``; and ``G(X) = sum_i [A_i^dagger, [A_i, X]]``, its Gram map."""
+    r, g, step = np.zeros((0, len(x))), np.zeros_like(x), max(1, a.shape[1] // len(x))
+    for i in range(0, len(a), step):
+        ops = a[i : i + step, None]
+        c = ops @ x - x @ ops
+        adj = ops.conj().transpose(0, 1, 3, 2)
+        g += np.sum(adj @ c - c @ adj, axis=0)
+        r = np.linalg.qr(np.concatenate([r, _real(c.transpose(1, 0, 2, 3)).T]), mode="r")
+    return r, g
+
+
+def _refined_split(a: np.ndarray, rng: np.random.Generator, tol: Tolerances, spun) -> list:
+    """Split a near-reducible space in ``d x d`` work: the block bases.
+
+    The operators commuting with every Kraus operator are the kernel of G
+    (:func:`_commutators`), ``G = 2 (I - (phi + phi^dagger) / 2)`` for unital
+    trace-preserving maps. Subspace iteration with ``I - G / 4`` starts from a
+    random guard direction and the traceless block projectors of ``spun``
+    (spun at ``tol.nullspace``) and of spins at the loose cut ``_LOOSE_CUT``,
+    which splits wherever the coupling is small, and at the geometric mean of
+    the two cuts, where a loose spin merged. Each sweep first rotates onto
+    the commutators' right singular vectors, smallest first; the sweeps stop
+    once all but the last direction move by at most ``tol.nullspace`` and no
+    less than before, or after ``_MAX_SWEEPS``. Kept are the directions whose
+    unsquared singular value is at most the null-space cut of the stacked
+    commutators, ``tol.nullspace * sqrt(lambda_max)`` with ``lambda_max`` at
+    its bound ``4 scale^2``; the space splits along the eigenspaces of a
+    random kept element, or is one block if none is kept.
+    """
+    d = a.shape[1]
+    scale = float(np.sqrt(np.vdot(a, a).real / d))
+    z = rng.standard_normal((2, d, d))
+    for cut in (_LOOSE_CUT, np.sqrt(_LOOSE_CUT * tol.nullspace)):
+        loose = _spin_draws(a, rng, tol, cut * scale)
+        spun = list(spun) + [b for _, blocks in (loose[0] if loose else []) for b in blocks]
+    y = _orthonormal(np.stack([z[0] + 1j * z[1]] + [b @ b.conj().T for b in spun]), tol)
+    if not len(y):  # d = 1: nothing is traceless
+        return [np.eye(d, dtype=complex)]
+    m, x, moved = max(len(y) - 1, 1), y, np.inf
+    for _ in range(_MAX_SWEEPS):
+        r, g = _commutators(a, y)
+        _, sigma, vh = np.linalg.svd(r)
+        y, g = np.tensordot(vh[::-1], y, axes=1), np.tensordot(vh[::-1], g, axes=1)
+        u, v = _real(x[:m]), _real(y[:m])
+        last, moved = moved, float(np.max(np.linalg.norm(v - (v @ u.T) @ u, axis=1)))
+        if moved <= tol.nullspace and moved >= last:
+            break
+        x, y = y, _orthonormal(y - g / 4, tol)
+    kept = y[sigma[::-1] <= 2.0 * tol.nullspace * scale]
+    if not len(kept):
+        return [np.eye(d, dtype=complex)]
+    element = np.tensordot(rng.standard_normal(len(kept)), kept, axes=1)
+    w, v = hermitian_eig(element / max_abs(element), tol)
+    return [v[:, idx] for idx in cluster_eigenvalues(w, tol.eigencluster)]
+
+
+def _components(bases, h: np.ndarray, tol: Tolerances) -> list[list[int]]:
+    """The blocks grouped into Wedderburn components, as lists of block
+    indices: the copies of one irreducible representation share the spectrum
+    of their compression of ``H = sum_c H_c kron I_(m_c)``
+    (:func:`_algebra_element`), which a random H separates between
+    components, here beyond ``tol.eigencluster``."""
+    spectra = [np.linalg.eigvalsh(b.conj().T @ h @ b) for b in bases]
+    groups: list[list[int]] = []
+    for j, w in enumerate(spectra):
+        for g in groups:
+            if len(spectra[g[0]]) == len(w) and max_abs(spectra[g[0]] - w) <= tol.eigencluster:
+                g.append(j)
+                break
+        else:
+            groups.append([j])
+    return groups
 
 
 def _certified_blocks(ch: KrausChannel, bases, tol: Tolerances) -> tuple[Subspace, ...]:
@@ -385,23 +470,18 @@ def _certified_blocks(ch: KrausChannel, bases, tol: Tolerances) -> tuple[Subspac
 
 
 def iris_decompose(
-    ch: KrausChannel,
-    tol: Tolerances = DEFAULT_TOL,
-    seed: int = 0,
-    commutant: CommutantBasis | None = None,
+    ch: KrausChannel, tol: Tolerances = DEFAULT_TOL, seed: int = 0
 ) -> IrisDecomposition:
     """Decompose the space into irreducible invariant blocks of the channel.
 
     The space is split by spinning blocks up from a random element of the
-    algebra the Kraus operators generate (:func:`_spin_split`), in ``d x d``
-    work. The dense path decides instead when ``commutant`` is given, or when
-    the spin-up is near its cutoffs: an accepted closure singular value below
-    100 rank cuts, a spun block that fails the checks below, eigenspaces that
-    spin copies of unequal dimension or in another number than their
-    dimension, or ``_MAX_DRAWS`` draws that each repeat an eigenvalue on a
-    block. The dense path splits along the eigenspaces of a random element
-    of the channel's commutant, solved here unless ``commutant`` passes in
-    that solve. ``split`` records the path and its margins.
+    algebra the Kraus operators generate (:func:`_spin_split`). The refined
+    path (:func:`_refined_split`) decides instead when the spin-up is near
+    its cutoffs (an accepted closure singular value below 100 rank cuts,
+    copies that do not add up, or ``_MAX_DRAWS`` draws that each repeat an
+    eigenvalue on a block) or a spun block fails the checks below; it counts
+    the commutant from the Wedderburn components of its blocks
+    (:func:`_components`). ``split`` records the path and its margins.
 
     Every Kraus operator is simultaneously block-diagonal with respect to the
     returned blocks (checked in the ambient space), each block is
@@ -411,37 +491,25 @@ def iris_decompose(
     Blocks are ordered by dimension ascending, ties broken by the rounded
     column ``P[:, i] / sqrt(P_ii)`` of the block projector at its largest
     diagonal entry. Where the decomposition is unique the blocks are too;
-    isomorphic copies depend on the Kraus operators and ``seed`` (spin path)
-    or on the commutant and ``seed`` (dense path). The basis inside a block
-    is fixed by the block's projector (:func:`_canonical_basis`).
+    isomorphic copies depend on the Kraus operators and ``seed``. The basis
+    inside a block is fixed by the block's projector (:func:`_canonical_basis`).
     """
-    if commutant is None:
-        spun = _spin_split(ch.kraus, seeded_rng(seed), tol)
-        if spun is not None:
-            bases, count, decision = spun
-            try:
-                blocks = _certified_blocks(ch, bases, tol)
-            except ToleranceFailure:
-                pass  # a spun block leaks: the dense path decides
-            else:
-                return IrisDecomposition(
-                    ambient_dim=ch.dim,
-                    blocks=blocks,
-                    irreducibility_certificates=(1,) * len(blocks),
-                    commutant_count=count,
-                    split=decision,
-                )
-        commutant = commutant_basis(ch, tol)
-    elif commutant.dim != ch.dim:
-        raise DimensionMismatch(f"commutant dim {commutant.dim} != channel dim {ch.dim}")
-    blocks = _certified_blocks(ch, _split(commutant, seeded_rng(seed), tol), tol)
+    rng = seeded_rng(seed)
+    bases, count, decision = _spin_split(ch.kraus, rng, tol)
+    try:
+        blocks = _certified_blocks(ch, bases, tol) if decision else None
+    except ToleranceFailure:
+        blocks = None  # a spun block leaks: the refined path decides
+    if blocks is None:
+        blocks = _certified_blocks(ch, _refined_split(ch.kraus, rng, tol, bases), tol)
+        groups = _components([s.basis for s in blocks], _algebra_element(ch.kraus, rng), tol)
+        count, decision = sum(len(g) ** 2 for g in groups), SplitDecision("refined")
     return IrisDecomposition(
         ambient_dim=ch.dim,
         blocks=blocks,
         irreducibility_certificates=(1,) * len(blocks),
-        commutant=commutant,
-        commutant_count=commutant.count,
-        split=SplitDecision("dense"),
+        commutant_count=count,
+        split=decision,
     )
 
 

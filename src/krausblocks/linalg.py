@@ -128,27 +128,6 @@ def hermitian_eig(m, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, np.ndar
     return np.linalg.eigh(hermitian_part(m, tol))
 
 
-def null_space(m, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis of ``{x : M x = 0}`` as columns.
-
-    The kernel dimension is the number of singular values below
-    ``tol.nullspace`` relative to the largest one. An empty basis is a
-    valid return (shape ``(cols, 0)``).
-    """
-    a = as_matrix(m)
-    if a.shape[0] == 0 or a.shape[1] == 0:
-        return np.eye(a.shape[1], dtype=complex)
-    # the kernel lives in V, which is complete unless the matrix is wide;
-    # never materialize the (rows x rows) U of a tall stacked system
-    _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
-    smax = s[0] if s.size else 0.0
-    # pad: singular values beyond min(rows, cols) are exact zeros
-    full = np.zeros(a.shape[1])
-    full[: s.size] = s
-    keep = full <= tol.nullspace * smax
-    return vh.conj().T[:, keep]
-
-
 def orthonormal_complement(basis, ambient_dim: int) -> np.ndarray:
     """Orthonormal basis of the orthogonal complement of ``span(basis)``.
 

@@ -11,9 +11,7 @@ from krausblocks import (
     random_unital_channel,
     superoperator_distance,
     unitary_channel,
-    unvec,
     validate_kraus,
-    vec,
 )
 from krausblocks.errors import (
     DimensionMismatch,
@@ -24,6 +22,7 @@ from krausblocks.errors import (
 from krausblocks.linalg import max_abs
 from krausblocks.serialize import channel_to_document, dumps_report, parse_channel_ops
 
+from tests.dense import unvec, vec
 from tests.util import random_density, random_hermitian
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)

@@ -161,12 +161,12 @@ class TestDecompose:
         split = json.loads(out)["split"]
         assert code == 0 and split["method"] == "spin"
         assert split["closure_margin"] >= 100 and split["eigengap_margin"] > 1
-        # near-reducible: the dense path decides, and has no margins to report
+        # near-reducible: the refined path decides, and has no margins to report
         near = write(tmp_path, "near.json", dumps_report(channel_to_document(coupled_blocks(1e-7))))
         code, out, _ = run(["fixed-states", near])
         rep = json.loads(out)
         assert code == 0 and rep["commutant_count"] == 1
-        assert rep["split"] == {"method": "dense", "closure_margin": None, "eigengap_margin": None}
+        assert rep["split"] == {"method": "refined", "closure_margin": None, "eigengap_margin": None}
 
     def test_byte_identical_reports(self, depolarizing_doc):
         code1, out1, _ = run(["decompose", depolarizing_doc, "--seed", "3"])
@@ -211,17 +211,20 @@ class TestOneCommutantSolve:
         assert code == 0
         assert len(calls) == 0
 
-    def test_degenerate_state_reuses_the_solve(self, tmp_path, monkeypatch):
+    def test_degenerate_state_solves_nothing(self, tmp_path, monkeypatch):
+        # the state is projected one Wedderburn component at a time
         from krausblocks import identity_channel
 
         path = write(tmp_path, "id.json", dumps_report(channel_to_document(identity_channel(2))))
         rho = random_density(2, np.random.default_rng(4))
         spath = write(tmp_path, "rho.json", dumps_report(operator_to_document(rho)))
         calls = count_calls(monkeypatch, fixed_points, "commutant_basis")
+        supers = count_calls(monkeypatch, channel.KrausChannel, "superoperator_matrix")
         code, out, _ = run(["fixed-states", path, "--state", spath])
         assert code == 0
-        assert json.loads(out)["classification"]["type"] == "degenerate"
-        assert len(calls) == 1
+        rep = json.loads(out)["classification"]
+        assert rep["type"] == "degenerate"
+        assert calls == [] and supers == []
 
 
 class TestOneValidation:

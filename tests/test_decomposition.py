@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from krausblocks import (
-    CommutantBasis,
     DecompositionMatching,
+    DegenerateFixedState,
     IrisDecomposition,
     KrausChannel,
     MatchingComponent,
     Subspace,
+    classify_fixed_state,
     commutant_basis,
     dephasing_channel,
     depolarizing_channel,
@@ -24,20 +25,22 @@ from krausblocks import (
     validate_kraus,
 )
 from krausblocks.errors import (
-    DimensionMismatch,
     MultisetMismatch,
     NotInvariant,
     NotOrthonormal,
     ToleranceFailure,
 )
 from krausblocks import decomposition, fixed_points
-from krausblocks.decomposition import _spin_split, _split
+from krausblocks.decomposition import _spin_split
 from krausblocks.linalg import DEFAULT_TOL, max_abs
 
+from tests import dense
+from tests.dense import DenseCommutant, dense_commutant, dense_decompose, dense_split
 from tests.test_golden import CASES as GOLDEN_CASES, NON_DEGENERATE
 from tests.util import (
     count_calls,
     coupled_blocks,
+    random_density,
     random_subspace,
     random_unit_vector,
     rotated_direct_sum,
@@ -226,7 +229,7 @@ class TestDecompose:
 
 
 class ScriptedDraws:
-    """Random generator stand-in for ``_split``: returns the scripted draws
+    """Random generator stand-in for ``dense_split``: returns the scripted draws
     first, then those of a seeded generator, and counts every draw."""
 
     def __init__(self, draws, seed=0):
@@ -248,13 +251,15 @@ def merging_draw(projectors, a, b):
 
 
 class TestOneSplit:
+    """The dense oracle's split, which the tests compare the library against."""
+
     def setup_method(self):
         self.ch, _, self.projectors = rotated_direct_sum((1, 2, 3), seed=21)
-        self.commutant = commutant_basis(self.ch)
+        self.commutant = dense_commutant(self.ch)
 
     def test_merging_draw_is_redrawn(self):
         rng = ScriptedDraws([merging_draw(self.projectors, 1, 2)])
-        bases = _split(self.commutant, rng, DEFAULT_TOL)
+        bases = dense_split(self.commutant, rng, DEFAULT_TOL)
         assert rng.calls == 2
         assert sorted(b.shape[1] for b in bases) == [1, 2, 3]
         for b, p in zip(sorted(bases, key=lambda b: b.shape[1]), self.projectors):
@@ -264,21 +269,17 @@ class TestOneSplit:
         c = merging_draw(self.projectors, 1, 2)
         rng = ScriptedDraws([c] * 8)
         with pytest.raises(ToleranceFailure):
-            _split(self.commutant, rng, DEFAULT_TOL)
+            dense_split(self.commutant, rng, DEFAULT_TOL)
         assert rng.calls == 8
 
     def test_given_commutant_is_used(self, monkeypatch):
-        calls = count_calls(monkeypatch, fixed_points, "commutant_basis")
-        dec = iris_decompose(self.ch, seed=3, commutant=self.commutant)
-        assert calls == [] and dec.commutant is self.commutant
+        monkeypatch.setattr(dense, "dense_commutant", None)  # no second solve
+        dec = dense_decompose(self.ch, seed=3, commutant=self.commutant)
+        assert dec.commutant_count == self.commutant.count == 3
         assert dec.split.method == "dense"
         # the spin path finds the same blocks, and the projectors fix the bases
         for a, b in zip(dec.blocks, iris_decompose(self.ch, seed=3).blocks):
             assert max_abs(a.basis - b.basis) <= 1e-10
-
-    def test_commutant_of_another_dimension(self):
-        with pytest.raises(DimensionMismatch):
-            iris_decompose(identity_channel(3), commutant=commutant_basis(identity_channel(2)))
 
 
 def rotated_commutant(commutant, seed):
@@ -286,10 +287,13 @@ def rotated_commutant(commutant, seed):
     orthogonal matrix: another orthonormal Hermitian basis, identity first."""
     h = commutant.hermitian_basis
     q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((len(h) - 1,) * 2))
-    return CommutantBasis(commutant.dim, np.concatenate([h[:1], np.tensordot(q, h[1:], axes=1)]))
+    rotated = np.concatenate([h[:1], np.tensordot(q, h[1:], axes=1)])
+    return DenseCommutant(commutant.dim, rotated, commutant.sigma, commutant.cut)
 
 
 class TestBasisFreeSplit:
+    """The dense oracle's blocks depend on the commutant, not on its basis."""
+
     @pytest.mark.parametrize(
         "make",
         [
@@ -301,10 +305,10 @@ class TestBasisFreeSplit:
     )
     def test_blocks_and_order_ignore_the_commutant_basis(self, make):
         ch = make()
-        commutant = commutant_basis(ch)
-        ref = iris_decompose(ch, seed=3, commutant=commutant)
+        commutant = dense_commutant(ch)
+        ref = dense_decompose(ch, seed=3, commutant=commutant)
         for seed in (1, 2):
-            dec = iris_decompose(ch, seed=3, commutant=rotated_commutant(commutant, seed))
+            dec = dense_decompose(ch, seed=3, commutant=rotated_commutant(commutant, seed))
             assert dec.block_dims == ref.block_dims
             for a, b in zip(dec.blocks, ref.blocks):
                 assert max_abs(a.projector() - b.projector()) <= 1e-10
@@ -376,6 +380,8 @@ class TestSpinSplit:
             assert max_abs(b @ b.conj().T - p) < 1e-9
 
     def test_every_draw_shared_falls_back(self, monkeypatch):
+        # the refined path decides, without a commutant solve, and finds the
+        # blocks and the commutant count of the dense oracle
         rng = ScriptedCoefficients([self.scalar_draw] * 8, seed=4)
         scripted = [rng]
         monkeypatch.setattr(
@@ -385,11 +391,12 @@ class TestSpinSplit:
         )
         calls = count_calls(monkeypatch, fixed_points, "commutant_basis")
         dec = iris_decompose(self.ch, seed=4)
-        assert rng.draws == [] and len(calls) == 1 and dec.split.method == "dense"
+        assert rng.draws == [] and calls == [] and dec.split.method == "refined"
         assert dec.split.closure_margin is None and dec.split.eigengap_margin is None
-        ref = iris_decompose(self.ch, seed=4, commutant=commutant_basis(self.ch))
+        ref = dense_decompose(self.ch, seed=4)
+        assert dec.block_dims == ref.block_dims and dec.commutant_count == ref.commutant_count
         for a, b in zip(dec.blocks, ref.blocks):
-            assert max_abs(a.basis - b.basis) == 0.0
+            assert max_abs(a.basis - b.basis) <= 1e-10
 
     @pytest.mark.parametrize(
         "name", ["identity_d3", "copies_3x2", "dephasing_d4"] + NON_DEGENERATE
@@ -398,7 +405,7 @@ class TestSpinSplit:
         ch = GOLDEN_CASES[name]()
         dec = iris_decompose(ch, seed=3)
         assert dec.split.method == "spin"
-        assert dec.commutant_count == commutant_basis(ch).count
+        assert dec.commutant_count == dense_commutant(ch).count
 
     def test_identity_count(self):
         assert iris_decompose(identity_channel(3)).commutant_count == 9
@@ -409,7 +416,7 @@ class TestSpinSplit:
         solves = count_calls(monkeypatch, fixed_points, "commutant_basis")
         supers = count_calls(monkeypatch, KrausChannel, "superoperator_matrix")
         dec = iris_decompose(ch, seed=3)
-        assert dec.split.method == "spin" and dec.commutant is None
+        assert dec.split.method == "spin"
         assert solves == [] and supers == []
 
     def test_margins_clear_the_fallback(self):
@@ -425,19 +432,92 @@ class TestSpinSplit:
         assert calls == []
 
     def test_fallback_in_the_near_reducible_band(self, monkeypatch):
-        # the spin path hands some of these to the dense path, and every
-        # verdict is the one the dense path gives
-        def verdict(ch, commutant=None):
+        # the spin path hands some of these to the refined path, and every
+        # verdict is the one the dense oracle gives
+        def verdict(decompose, ch):
             try:
-                return iris_decompose(ch, commutant=commutant).dimension_multiset()
+                return decompose(ch).dimension_multiset()
             except ToleranceFailure:
                 return None
 
         band = [coupled_blocks(eps, seed) for eps in (1e-6, 1e-7, 1e-8) for seed in range(3)]
-        dense = [verdict(ch, commutant_basis(ch)) for ch in band]
-        calls = count_calls(monkeypatch, fixed_points, "commutant_basis")
-        assert [verdict(ch) for ch in band] == dense
+        oracle = [verdict(dense_decompose, ch) for ch in band]
+        calls = count_calls(monkeypatch, decomposition, "_refined_split")
+        assert [verdict(iris_decompose, ch) for ch in band] == oracle
         assert len(calls) >= 1
+
+
+# near-reducible shapes, as coupled_blocks arguments: every block pair, one
+# pair, or a chain with couplings eps, 30 eps and eps / 30 coupled
+SWEEP_SHAPES = {
+    "2+3": {},
+    "2+3+4-one-pair": dict(dims=(2, 3, 4), couplings={(1, 2): 1.0}),
+    "2+3+4-all-pairs": dict(dims=(2, 3, 4)),
+    "1+2+2+3-chain": dict(dims=(1, 2, 2, 3), couplings={(0, 1): 1.0, (1, 2): 30.0, (2, 3): 1 / 30}),
+    "3x2-copies": dict(dims=(2, 2, 2), copies=True),
+}
+SWEEP_EPS = (1e-5, 1e-6, 1e-7, 3e-8, 1e-8, 3e-9, 1e-9, 3e-10, 1e-10, 1e-12)
+
+
+def verdict(decompose, ch):
+    """The block multiset and commutant count, or None on ToleranceFailure."""
+    try:
+        dec = decompose(ch)
+    except ToleranceFailure:
+        return None
+    return dec.dimension_multiset(), dec.commutant_count
+
+
+class TestRefinedSplit:
+    @pytest.mark.parametrize("eps", SWEEP_EPS)
+    @pytest.mark.parametrize("shape", SWEEP_SHAPES)
+    def test_verdicts_of_the_oracle(self, shape, eps):
+        for seed in range(3):
+            ch = coupled_blocks(eps, seed, **SWEEP_SHAPES[shape])
+            commutant = dense_commutant(ch)
+            want = verdict(lambda c: dense_decompose(c, commutant=commutant), ch)
+            got = verdict(iris_decompose, ch)
+            if got != want:
+                # allowed only where the oracle's deciding singular value is
+                # within 10x of its cut
+                ratio = commutant.sigma / commutant.cut
+                assert np.any((ratio > 0.1) & (ratio < 10)), (seed, got, want)
+
+    @pytest.mark.parametrize(
+        "eps", [1e-5, 3e-6, 1e-6, 3e-7, 1e-7, 3e-8, 1e-8, 3e-9, 1e-9, 3e-10, 1e-10, 1e-11, 1e-12]
+    )
+    def test_two_blocks_exactly(self, eps):
+        for seed in range(10):
+            ch = coupled_blocks(eps, seed)
+            assert verdict(iris_decompose, ch) == verdict(dense_decompose, ch), seed
+
+    def test_no_dense_arrays(self, monkeypatch):
+        near = coupled_blocks(1e-10, 0, dims=(2, 3, 4))
+        identity = identity_channel(4)
+        rho = random_density(4, np.random.default_rng(2))
+        supers = count_calls(monkeypatch, KrausChannel, "superoperator_matrix")
+        assert iris_decompose(near).split.method == "refined"
+        assert commutant_basis(near).count == 3
+        result = classify_fixed_state(identity, rho, iris_decompose(identity))
+        assert isinstance(result, DegenerateFixedState)
+        assert commutant_basis(identity).count == 16
+        assert supers == []
+
+    def test_one_dimensional_leak_is_a_tolerance_failure(self):
+        # off trace preservation by 2e-6: the spun block fails its invariance
+        # check, and the refined path has no traceless direction to start from
+        with pytest.raises(ToleranceFailure):
+            iris_decompose(KrausChannel(1, np.array([[[1.0 + 1e-6]]])))
+
+    def test_degenerate_state_at_d64(self, monkeypatch):
+        # the identity fixes every state: its projection is the state
+        ch = identity_channel(64)
+        rho = random_density(64, np.random.default_rng(5))
+        dec = iris_decompose(ch)
+        solves = count_calls(monkeypatch, fixed_points, "commutant_basis")
+        result = classify_fixed_state(ch, rho, dec)
+        assert isinstance(result, DegenerateFixedState) and solves == []
+        assert max_abs(result.commutant_projection - rho) <= 1e-9
 
 
 class TestRestrict:

@@ -22,11 +22,17 @@ from krausblocks import (
     restrict,
     unitary_channel,
 )
-from krausblocks import fixed_points
 from krausblocks.errors import NotADensityMatrix, NotFixed, NotNormalized, ToleranceFailure
-from krausblocks.fixed_points import _commutant_gram, _commutant_kernel, _real_form
-from krausblocks.linalg import DEFAULT_TOL, max_abs, null_space
+from krausblocks.linalg import DEFAULT_TOL, max_abs
 
+from tests import dense
+from tests.dense import (
+    _commutant_gram,
+    _real_form,
+    commutant_kernel,
+    dense_commutant,
+    null_space,
+)
 from tests.util import (
     coupled_blocks,
     fixed_hermitian_basis_oracle,
@@ -83,8 +89,9 @@ class TestCommutantBasis:
             basis[0, 0, 0] = 1.0
 
     def test_scalar_certificate(self):
+        # the dense oracle's irreducibility certificate
         ch, _, projectors = rotated_direct_sum((1, 2, 3), seed=21)
-        cb = commutant_basis(ch)
+        cb = dense_commutant(ch)
 
         def range_of(p):
             return np.linalg.eigh(p)[1][:, -round(np.trace(p).real):]
@@ -119,10 +126,10 @@ class TestCommutantBasis:
             assert abs(y @ g @ y - want) <= 1e-12 * want
 
     def test_gram_above_its_bound_is_a_tolerance_failure(self, monkeypatch):
-        gram = fixed_points._commutant_gram
-        monkeypatch.setattr(fixed_points, "_commutant_gram", lambda *args: 10 * gram(*args))
+        gram = dense._commutant_gram
+        monkeypatch.setattr(dense, "_commutant_gram", lambda *args: 10 * gram(*args))
         with pytest.raises(ToleranceFailure):
-            commutant_basis(random_unital_channel(3, 3, seed=1))
+            dense_commutant(random_unital_channel(3, 3, seed=1))
 
     @pytest.mark.parametrize("name", KERNEL_CASES)
     def test_kernel_matches_stacked_null_space(self, name):
@@ -137,7 +144,7 @@ class TestCommutantBasis:
         # within a factor 2 of its cutoff
         if np.any((sigma > cutoff / 2) & (sigma < 2 * cutoff)):
             pytest.skip("a singular value is within 2x of the cutoff")
-        kernel = _commutant_kernel(ch.kraus, DEFAULT_TOL)
+        kernel = commutant_kernel(ch.kraus, DEFAULT_TOL)[0]
         assert kernel.shape[1] == oracle.shape[1]
         assert max_abs(kernel @ kernel.conj().T - oracle @ oracle.conj().T) <= 1e-10
 

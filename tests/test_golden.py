@@ -9,12 +9,13 @@ Kraus algebra, and the random vectors, drawn during the spin-up, so they
 expose any change in those draws. Where the decomposition is unique (the
 other cases, ``NON_DEGENERATE``) the blocks depend on neither, and the basis
 reported inside each block is fixed by its projector, so it agrees across
-seeds and between the spin and the dense path.
+seeds and with the dense oracle of ``tests/dense.py``.
 
 The commutant projector is the orthogonal projector onto the span of the
 vectorized commutant, ``sum_j vec(H_j) vec(H_j)^dagger`` over the
 orthonormal Hermitian basis. It does not depend on the basis, so it guards
-the commutant solve (the dense path) to 1e-10 even in the degenerate cases.
+the commutant built from matrix units to 1e-10 even in the degenerate cases;
+the recorded values came from the dense commutant solve.
 
 Regenerate (only when a behaviour change is intended) with
 ``PYTHONPATH=src python -m tests.test_golden``, or re-record only the blocks
@@ -42,6 +43,7 @@ from krausblocks import (
     random_unital_channel,
 )
 
+from tests.dense import dense_decompose
 from tests.util import rotated_direct_sum
 
 GOLDEN_PATH = Path(__file__).with_name("golden_decompositions.json")
@@ -135,7 +137,7 @@ def test_bases_fixed_by_projectors(name):
     ch = CASES[name]()
     ref = iris_decompose(ch, seed=0)
     decs = [iris_decompose(ch, seed=s) for s in (1, 2, 3)]
-    decs.append(iris_decompose(ch, seed=0, commutant=commutant_basis(ch)))
+    decs.append(dense_decompose(ch, seed=0))
     assert ref.split.method == "spin" and decs[-1].split.method == "dense"
     for dec in decs:
         assert dec.block_dims == ref.block_dims

@@ -6,12 +6,12 @@ from krausblocks import (
     cluster_eigenvalues,
     haar_unitary,
     hermitian_eig,
-    null_space,
     orthonormal_complement,
 )
 from krausblocks.errors import DimensionMismatch, NotHermitian, NotOrthonormal
 from krausblocks.linalg import DEFAULT_TOL, max_abs
 
+from tests.dense import null_space
 from tests.util import random_hermitian
 
 

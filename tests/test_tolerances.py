@@ -18,7 +18,6 @@ import pytest
 import krausblocks
 from krausblocks import (
     BlockMixture,
-    CommutantBasis,
     IrisDecomposition,
     Povm,
     ProjectiveMeasurement,
@@ -48,7 +47,7 @@ from krausblocks.errors import (
     NotPSD,
     NotUnitary,
 )
-from krausblocks.linalg import DEFAULT_TOL, density_matrix, frozen
+from krausblocks.linalg import DEFAULT_TOL, density_matrix
 
 
 def passes(call, error, match: str) -> bool:
@@ -83,11 +82,13 @@ def block_mixture(eps: float, tol) -> bool:
     return isinstance(classify_fixed_state(ch, rho, iris_decompose(ch), tol), BlockMixture)
 
 
-def scalar_on(eps: float, tol) -> bool:
-    """An algebra whose second element is ``eps``-far (Frobenius) from scalar on C^2."""
-    z = np.sqrt(0.5) * eps * diag(1.0, -1.0)
-    basis = CommutantBasis(2, frozen(np.stack([np.eye(2) / np.sqrt(2), z])))
-    return basis.is_scalar_on(np.eye(2), tol)
+def eigengap_redraw(eps: float, tol) -> bool:
+    """Whether the spin-up redraws the element ``diag(0, eps)`` of an
+    irreducible qubit channel's algebra: its one block, C^2, sees the gap eps."""
+    a = random_unital_channel(2, 3, seed=1).kraus
+    spun = decomposition._spin_blocks(a, diag(0.0, eps), np.random.default_rng(0), tol,
+                                      tol.nullspace)
+    return spun is None
 
 
 def two_components(eps: float, tol) -> bool:
@@ -167,7 +168,7 @@ ROUTES = [
                              2, (Subspace(2, [[1], [0]]), Subspace(2, tilted(e))), (1, 1)),
                          NotOrthonormal, "max")),
     ("match-overlap", "residual", (), two_components),
-    ("scalar-on-block", "eigencluster", (), scalar_on),
+    ("eigengap-redraw", "eigencluster", (), eigengap_redraw),
     ("span-rank", "nullspace", (decomposition,), span_drops),
 ]
 

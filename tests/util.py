@@ -10,12 +10,12 @@ from krausblocks import (
     Subspace,
     direct_sum,
     haar_unitary,
-    null_space,
     random_unital_channel,
-    unvec,
 )
 from krausblocks import capacity, channel, cli, decomposition, fixed_points, measurement
 from krausblocks.linalg import DEFAULT_TOL
+
+from tests.dense import null_space, unvec
 
 
 def random_hermitian(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -95,16 +95,35 @@ def rotated_direct_sum(
     return ch, u, projectors
 
 
-def coupled_blocks(eps: float, seed: int = 0) -> KrausChannel:
-    """A 2 + 3 random-unitary direct sum whose blocks are coupled by
-    multiplying every Kraus operator by ``exp(i eps H)``, with H a random
-    Hermitian matrix that has entries only between the two blocks. The result
-    stays unital and trace preserving; for eps != 0 it is generically
-    irreducible, with off-diagonal Kraus weight of order eps."""
-    ch, _, _ = rotated_direct_sum((2, 3), seed=seed, rotate=False)
-    h = random_hermitian(5, np.random.default_rng(seed))
-    h[:2, :2] = 0
-    h[2:, 2:] = 0
+def coupled_blocks(
+    eps: float,
+    seed: int = 0,
+    dims: tuple[int, ...] = (2, 3),
+    couplings: dict | None = None,
+    copies: bool = False,
+) -> KrausChannel:
+    """A random-unitary direct sum of blocks of the given dimensions (with
+    ``copies``, ``len(dims)`` copies of one random block) whose blocks are
+    coupled by multiplying every Kraus operator by ``exp(i eps H)``, with H a
+    random Hermitian matrix that has entries only between blocks. The entries
+    between blocks i < j are scaled by ``couplings[(i, j)]``: every pair by 1
+    when ``couplings`` is None, else the pairs it leaves out by 0. The result
+    stays unital and trace preserving; for eps != 0 coupled blocks generically
+    merge, with off-diagonal Kraus weight of order eps times the coupling."""
+    d = sum(dims)
+    if copies:
+        base = random_unital_channel(dims[0], 3, seed=seed)
+        ch = KrausChannel.from_kraus([np.kron(np.eye(len(dims)), a) for a in base.kraus])
+    else:
+        ch, _, _ = rotated_direct_sum(dims, seed=seed, rotate=False)
+    h = random_hermitian(d, np.random.default_rng(seed))
+    edges = np.cumsum((0,) + tuple(dims))
+    scale = np.zeros((d, d))
+    for i in range(len(dims)):
+        for j in range(i + 1, len(dims)):
+            c = 1.0 if couplings is None else couplings.get((i, j), 0.0)
+            scale[edges[i] : edges[i + 1], edges[j] : edges[j + 1]] = c
+    h *= scale + scale.T
     w, v = np.linalg.eigh(h)
     g = v @ np.diag(np.exp(1j * eps * w)) @ v.conj().T
     return KrausChannel.from_kraus([g @ a for a in ch.kraus])
