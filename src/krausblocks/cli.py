@@ -152,21 +152,12 @@ def _read(path: str) -> str:
         raise ParseError(f"cannot read {path}: {exc}", "$")
 
 
-def _validation_doc(report) -> dict:
-    return {
-        "is_trace_preserving": report.is_trace_preserving,
-        "is_unital": report.is_unital,
-        "tp_residual": report.tp_residual,
-        "unital_residual": report.unital_residual,
-    }
-
-
 def _load_channel(path: str, tol: Tolerances) -> tuple[KrausChannel, dict]:
     dim, kraus = parse_channel_ops(_read(path))
     report = validate_kraus(kraus, tol)
     if not (report.is_trace_preserving and report.is_unital):
         raise ValidationError("channel is not unital trace-preserving", report=report)
-    return KrausChannel(dim=dim, kraus=kraus), _validation_doc(report)
+    return KrausChannel(dim=dim, kraus=kraus), asdict(report)
 
 
 def _subspace_doc(s) -> dict:
@@ -211,7 +202,7 @@ def _cmd_validate(args, tol):
     out = _report_head("validate", tol)
     out["dim"] = dim
     out["n_kraus"] = len(kraus)
-    out["validation"] = _validation_doc(report)
+    out["validation"] = asdict(report)
     ok = report.is_trace_preserving and report.is_unital
     human = [
         f"dim={dim} kraus={len(kraus)} "
@@ -333,10 +324,7 @@ def _cmd_check_measurement(args, tol):
     out["elements"] = elements
     out["all_preserved"] = report.all_preserved
     if report.commute is not None:
-        out["channels_commute"] = {
-            "commute": report.commute.commute,
-            "residual": report.commute.residual,
-        }
+        out["channels_commute"] = asdict(report.commute)
         out["ranges_invariant"] = report.ranges_invariant
     human = [
         f"{len(elements)} element(s), all_preserved={report.all_preserved}"
@@ -463,7 +451,7 @@ def _error_report(command: str, exc: Exception) -> dict:
     if isinstance(exc, ParseError):
         error["path"] = exc.path
     elif isinstance(exc, ValidationError) and exc.report is not None:
-        error["validation"] = _validation_doc(exc.report)
+        error["validation"] = asdict(exc.report)
     return {"schema_version": SCHEMA_VERSION, "command": command, "error": error}
 
 

@@ -3,10 +3,12 @@
 For a unital trace-preserving map an operator is fixed exactly when it
 commutes with every Kraus operator, so the fixed set is the commutant
 ``sum_c M_(m_c) kron I_(n_c)`` of the algebra they generate
-(Arias-Gheondea-Gudder). It is built in ``d x d`` work from the irreducible
-blocks of :func:`~krausblocks.decomposition.iris_decompose`: the ``m_c``
-aligned copies of one ``n_c``-dimensional block form a Wedderburn component,
-and the matrix units ``W_a W_b^dagger`` between copies span the commutant.
+(Arias-Gheondea-Gudder). It is built in ``d x d`` work from one irreducible
+decomposition of the channel: the ``m_c`` aligned copies of one
+``n_c``-dimensional block form a Wedderburn component, and the matrix units
+``W_a W_b^dagger`` between copies span the commutant. :func:`commutant_basis`
+splits the space once with :func:`~krausblocks.decomposition.iris_decompose`;
+:func:`classify_fixed_state` reuses the decomposition it is given.
 """
 
 from __future__ import annotations
@@ -38,20 +40,21 @@ class CommutantBasis:
         return len(self.hermitian_basis)
 
 
-def _wedderburn(ch: KrausChannel, tol: Tolerances) -> list[np.ndarray]:
+def _wedderburn(ch: KrausChannel, blocks, tol: Tolerances) -> list[np.ndarray]:
     """The Wedderburn components of the channel, each as a ``d x m x n`` array
     W of its m copies of an n-dimensional irreducible block, aligned so that
-    ``W[:, a]^dagger A_i W[:, a]`` is the same for every copy a: the blocks of
-    :func:`iris_decompose` grouped by :func:`_components`, each rotated onto
-    the eigenvectors of its compression of the random algebra element H (an
-    intertwiner commutes with it, so is diagonal there), with the phases set
-    against the first copy by the first row of one random Kraus combination."""
+    ``W[:, a]^dagger A_i W[:, a]`` is the same for every copy a: ``blocks``,
+    the blocks of an irreducible decomposition of ``ch``, grouped by
+    :func:`_components`, each rotated onto the eigenvectors of its compression
+    of the random algebra element H (an intertwiner commutes with it, so is
+    diagonal there), with the phases set against the first copy by the first
+    row of one random Kraus combination. Nothing is split here."""
     a = ch.kraus
     rng = seeded_rng(0)
     h = _algebra_element(a, rng)
     z = rng.standard_normal((2, len(a)))
     k = np.tensordot(z[0] + 1j * z[1], a, axes=1)
-    bases = [s.basis for s in iris_decompose(ch, tol).blocks]
+    bases = [s.basis for s in blocks]
     components = []
     for group in _components(bases, h, tol):
         copies = [bases[j] @ np.linalg.eigh(bases[j].conj().T @ h @ bases[j])[1] for j in group]
@@ -64,14 +67,15 @@ def _wedderburn(ch: KrausChannel, tol: Tolerances) -> list[np.ndarray]:
 def commutant_basis(ch: KrausChannel, tol: Tolerances = DEFAULT_TOL) -> CommutantBasis:
     """A Hermitian basis of ``{X : A_i X = X A_i for all i}``, the normalized
     identity first, from the matrix units of the Wedderburn components
-    (:func:`_wedderburn`): for m copies ``W_a`` of an n-dimensional block,
+    (:func:`_wedderburn`) of one :func:`iris_decompose` split at seed 0: for
+    m copies ``W_a`` of an n-dimensional block,
     ``E_ab = W_a W_b^dagger / sqrt(n)`` gives ``E_aa`` and, for a < b,
     ``(E_ab + E_ba) / sqrt(2)`` and ``i (E_ab - E_ba) / sqrt(2)``:
     ``sum_c m_c^2`` elements. One reflection rotates the ``E_aa`` so the first
     is ``I / sqrt(d) = sum u_j E_jj`` with ``u_j = sqrt(n_j / d)``."""
     d = ch.dim
     diagonal, offdiagonal = [], []
-    for w in _wedderburn(ch, tol):
+    for w in _wedderburn(ch, iris_decompose(ch, tol).blocks, tol):
         m, n = w.shape[1:]
         for i in range(m):
             for j in range(i, m):
@@ -165,19 +169,27 @@ def classify_fixed_state(
     decomposition: IrisDecomposition,
     tol: Tolerances = DEFAULT_TOL,
 ):
-    """Fit a fixed density matrix as ``sum_j c_j P_j / dim(S_j)``.
+    """Fit a fixed density matrix as ``sum_j c_j P_j / dim(S_j)`` over the
+    blocks ``S_j`` of ``decomposition``, which must be an irreducible
+    decomposition of ``ch`` (DimensionMismatch if its ambient space is not
+    the channel's).
 
     The block projectors are orthogonal, so the least-squares weights are
     ``c_j = tr(P_j rho)``. Weights must be nonnegative (within ``tol.residual``,
     then clamped); a fit residual above ``tol.residual`` yields a
     :class:`DegenerateFixedState` instead of an error. Its projection onto the
-    fixed-point set is taken one Wedderburn component of the channel at a
-    time (:func:`_wedderburn`), as ``W (sigma kron I_n) W^dagger`` with the
-    copies W side by side and ``sigma_ab = tr(W_a^dagger rho W_b) / n``.
+    fixed-point set is taken one Wedderburn component of ``decomposition`` at
+    a time (:func:`_wedderburn`), as ``W (sigma kron I_n) W^dagger`` with the
+    copies W side by side and ``sigma_ab = tr(W_a^dagger rho W_b) / n``; no
+    second split is made.
     """
     r = as_matrix(rho)
     if r.shape != (ch.dim, ch.dim):
         raise DimensionMismatch(f"state is {r.shape}, channel dim is {ch.dim}")
+    if decomposition.ambient_dim != ch.dim:
+        raise DimensionMismatch(
+            f"decomposition ambient dim {decomposition.ambient_dim} != channel dim {ch.dim}"
+        )
     density_matrix(r, tol)
 
     report = is_fixed(ch, r, tol)
@@ -199,7 +211,7 @@ def classify_fixed_state(
         clamped = tuple(max(c, 0.0) for c in weights)
         return BlockMixture(weights=clamped, residual=residual)
     projection = np.zeros_like(r)
-    for w in _wedderburn(ch, tol):
+    for w in _wedderburn(ch, decomposition.blocks, tol):
         m, n = w.shape[1:]
         w = w.reshape(ch.dim, m * n)
         sigma = np.trace((w.conj().T @ r @ w).reshape(m, n, m, n), axis1=1, axis2=3) / n

@@ -98,40 +98,47 @@ def wire_to_matrix(data, rows: int, cols: int, path: str) -> np.ndarray:
     return _wire_stack([data], rows * cols, [path]).reshape(rows, cols)
 
 
-def _wire_list(mats: list, dim: int, path: str) -> np.ndarray:
-    """A list of ``dim x dim`` wire matrices as one read-only ``(k, dim, dim)`` stack."""
-    paths = (f"{path}[{k}]" for k in range(len(mats)))
-    stack = _wire_stack(mats, dim * dim, paths).reshape(-1, dim, dim)
-    stack.setflags(write=False)
-    return stack
+def _require(obj: dict, key: str, kind):
+    if key not in obj:
+        raise ParseError(f"missing field {key!r}", "$")
+    value = obj[key]
+    if kind is int and isinstance(value, bool):
+        raise ParseError(f"field {key!r} must be an integer", f"$.{key}")
+    if not isinstance(value, kind):
+        raise ParseError(f"field {key!r} has the wrong type", f"$.{key}")
+    return value
 
 
-def _loads(data, path: str = "$") -> dict:
+def _header(data) -> tuple[dict, int]:
+    """The document (text, UTF-8 bytes or a decoded object) as a dict, and its
+    ``dim``: the checks every document shares, a JSON object with a string
+    ``schema_version`` and an integer ``dim >= 1``."""
     if isinstance(data, (bytes, bytearray)):
         data = data.decode("utf-8")
     if isinstance(data, str):
         try:
-            obj = json.loads(data)
+            data = json.loads(data)
         except json.JSONDecodeError as exc:
-            raise ParseError(
-                f"invalid JSON at line {exc.lineno}, column {exc.colno}", path
-            ) from exc
-    else:
-        obj = data
-    if not isinstance(obj, dict):
-        raise ParseError("document must be a JSON object", path)
-    return obj
+            raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
+    if not isinstance(data, dict):
+        raise ParseError("document must be a JSON object")
+    _require(data, "schema_version", str)
+    dim = _require(data, "dim", int)
+    if dim < 1:
+        raise ParseError("dim must be >= 1", "$.dim")
+    return data, dim
 
 
-def _require(obj: dict, key: str, kind, path: str):
-    if key not in obj:
-        raise ParseError(f"missing field {key!r}", path)
-    value = obj[key]
-    if kind is int and isinstance(value, bool):
-        raise ParseError(f"field {key!r} must be an integer", f"{path}.{key}")
-    if not isinstance(value, kind):
-        raise ParseError(f"field {key!r} has the wrong type", f"{path}.{key}")
-    return value
+def _matrix_list(obj: dict, key: str, dim: int) -> np.ndarray:
+    """The nonempty list field ``key`` of ``dim x dim`` wire matrices as one
+    read-only ``(k, dim, dim)`` stack."""
+    mats = _require(obj, key, list)
+    if not mats:
+        raise ParseError(f"{key} list must be nonempty", f"$.{key}")
+    paths = (f"$.{key}[{k}]" for k in range(len(mats)))
+    stack = _wire_stack(mats, dim * dim, paths).reshape(-1, dim, dim)
+    stack.setflags(write=False)
+    return stack
 
 
 # ---------------------------------------------------------------------------
@@ -155,15 +162,8 @@ def parse_channel_ops(data) -> tuple[int, np.ndarray]:
 
     Returns ``dim`` and the Kraus operators as one read-only ``(k, dim, dim)`` stack.
     """
-    obj = _loads(data)
-    _require(obj, "schema_version", str, "$")
-    dim = _require(obj, "dim", int, "$")
-    if dim < 1:
-        raise ParseError("dim must be >= 1", "$.dim")
-    kraus_raw = _require(obj, "kraus", list, "$")
-    if not kraus_raw:
-        raise ParseError("kraus list must be nonempty", "$.kraus")
-    return dim, _wire_list(kraus_raw, dim, "$.kraus")
+    obj, dim = _header(data)
+    return dim, _matrix_list(obj, "kraus", dim)
 
 
 def parse_channel(data, tol: Tolerances = DEFAULT_TOL) -> KrausChannel:
@@ -194,18 +194,11 @@ def measurement_to_document(m: Povm | ProjectiveMeasurement) -> dict:
 
 def parse_measurement(data, tol: Tolerances = DEFAULT_TOL) -> Povm | ProjectiveMeasurement:
     """Parse a measurement document, checking its operators under ``tol``."""
-    obj = _loads(data)
-    _require(obj, "schema_version", str, "$")
-    dim = _require(obj, "dim", int, "$")
-    if dim < 1:
-        raise ParseError("dim must be >= 1", "$.dim")
-    kind = _require(obj, "type", str, "$")
+    obj, dim = _header(data)
+    kind = _require(obj, "type", str)
     if kind not in ("povm", "projective"):
         raise ParseError("type must be 'povm' or 'projective'", "$.type")
-    elements_raw = _require(obj, "elements", list, "$")
-    if not elements_raw:
-        raise ParseError("elements list must be nonempty", "$.elements")
-    mats = tuple(_wire_list(elements_raw, dim, "$.elements"))
+    mats = tuple(_matrix_list(obj, "elements", dim))
     if kind == "projective":
         return ProjectiveMeasurement(dim, mats, tol)
     return Povm(dim, mats, tol)
@@ -222,12 +215,8 @@ def operator_to_document(m: np.ndarray) -> dict:
 
 def parse_operator(data) -> np.ndarray:
     """Parse a single-operator document (states, POVM elements, unitaries)."""
-    obj = _loads(data)
-    _require(obj, "schema_version", str, "$")
-    dim = _require(obj, "dim", int, "$")
-    if dim < 1:
-        raise ParseError("dim must be >= 1", "$.dim")
-    return wire_to_matrix(_require(obj, "matrix", list, "$"), dim, dim, "$.matrix")
+    obj, dim = _header(data)
+    return wire_to_matrix(_require(obj, "matrix", list), dim, dim, "$.matrix")
 
 
 # ---------------------------------------------------------------------------

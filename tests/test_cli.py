@@ -17,8 +17,16 @@ from krausblocks.serialize import (
     parse_channel,
     parse_measurement,
 )
-from krausblocks import channel, cli, depolarizing_channel, dephasing_channel, fixed_points
+from krausblocks import (
+    channel,
+    cli,
+    depolarizing_channel,
+    dephasing_channel,
+    fixed_points,
+    measurement,
+)
 
+from tests.test_measurement import INCONSISTENT
 from tests.util import (
     computational_measurement,
     count_calls,
@@ -845,3 +853,112 @@ class TestReportFormat:
         assert "kraus[0]" in exc.value.path
         with pytest.raises(ParseError):
             parse_channel(json.dumps({"schema_version": "1", "kraus": []}))
+
+
+class TestInputContract:
+    """Each malformed document header and each empty matrix list is a parse
+    error (exit 2) whose report names the field and says what is wrong."""
+
+    CHANNEL = {"schema_version": "1", "dim": 1, "kraus": [[[1, 0]]]}
+    MEASUREMENT = {"schema_version": "1", "dim": 2, "type": "povm",
+                   "elements": [matrix_to_wire(np.eye(2))]}
+    STATE = {"schema_version": "1", "dim": 2, "matrix": matrix_to_wire(np.eye(2) / 2)}
+
+    def expect(self, args, path, message):
+        code, out, err = run(args)
+        assert code == 2
+        error = strict_json(out)["error"]
+        assert error["type"] == "ParseError"
+        assert error["path"] == path
+        assert error["message"] == f"{path}: {message}"
+        assert "Traceback" not in err
+
+    def channel(self, tmp_path, **fields):
+        return write(tmp_path, "ch.json", json.dumps({**self.CHANNEL, **fields}))
+
+    @pytest.mark.parametrize("text", ["[]", '"x"', "1", "null"])
+    def test_not_an_object(self, tmp_path, text):
+        self.expect(["validate", write(tmp_path, "ch.json", text)], "$",
+                    "document must be a JSON object")
+
+    def test_boolean_dim(self, tmp_path):
+        self.expect(["validate", self.channel(tmp_path, dim=True)], "$.dim",
+                    "field 'dim' must be an integer")
+
+    @pytest.mark.parametrize("field, value", [("schema_version", 1), ("dim", 1.0),
+                                              ("kraus", {})])
+    def test_wrong_type(self, tmp_path, field, value):
+        self.expect(["validate", self.channel(tmp_path, **{field: value})], f"$.{field}",
+                    f"field {field!r} has the wrong type")
+
+    def test_missing_field(self, tmp_path):
+        doc = dict(self.CHANNEL)
+        del doc["schema_version"]
+        self.expect(["validate", write(tmp_path, "ch.json", json.dumps(doc))], "$",
+                    "missing field 'schema_version'")
+
+    def test_channel_dim_zero(self, tmp_path):
+        self.expect(["validate", self.channel(tmp_path, dim=0)], "$.dim", "dim must be >= 1")
+
+    def test_measurement_dim_zero(self, tmp_path, depolarizing_doc):
+        m = write(tmp_path, "m.json", json.dumps({**self.MEASUREMENT, "dim": 0}))
+        self.expect(["check-measurement", depolarizing_doc, m], "$.dim", "dim must be >= 1")
+
+    def test_state_dim_zero(self, tmp_path, depolarizing_doc):
+        s = write(tmp_path, "rho.json", json.dumps({**self.STATE, "dim": 0}))
+        self.expect(["fixed-states", depolarizing_doc, "--state", s], "$.dim",
+                    "dim must be >= 1")
+
+    def test_unitary_dim_zero(self, tmp_path):
+        u = write(tmp_path, "u.json", json.dumps({**self.STATE, "dim": 0}))
+        self.expect(["gen", "--kind", "unitary", "--dim", "2", "--unitary", u], "$.dim",
+                    "dim must be >= 1")
+
+    def test_empty_kraus(self, tmp_path):
+        self.expect(["decompose", self.channel(tmp_path, kraus=[])], "$.kraus",
+                    "kraus list must be nonempty")
+
+    def test_empty_elements(self, tmp_path, depolarizing_doc):
+        m = write(tmp_path, "m.json", json.dumps({**self.MEASUREMENT, "elements": []}))
+        self.expect(["check-measurement", depolarizing_doc, m], "$.elements",
+                    "elements list must be nonempty")
+
+    def test_header_before_body(self, tmp_path, depolarizing_doc):
+        # a bad header is reported even when the body is bad too
+        m = write(tmp_path, "m.json", json.dumps({**self.MEASUREMENT, "dim": -1,
+                                                  "type": "nope", "elements": []}))
+        self.expect(["check-measurement", depolarizing_doc, m], "$.dim", "dim must be >= 1")
+
+    def test_smin_without_a_channel(self):
+        code, out, err = run(["capacity", "--quantity", "smin"])
+        assert code == 2
+        error = strict_json(out)["error"]
+        assert error == {"type": "InvalidParameter",
+                         "message": "this quantity needs a channel document"}
+        assert "Traceback" not in err
+
+
+class TestGenIdentity:
+    def test_in_process(self):
+        code, out, _ = run(["gen", "--kind", "identity", "--dim", "3", "--seed", "4"])
+        assert code == 0
+        doc = strict_json(out)
+        assert doc["metadata"]["construction"] == "identity"
+        assert doc["metadata"]["seed"] == 4
+        assert np.array_equal(parse_channel(out).kraus, np.eye(3)[None])
+
+
+class TestInconsistentTolerances:
+    @pytest.mark.parametrize("case", INCONSISTENT, ids=str)
+    def test_exit_3_with_report(self, tmp_path, monkeypatch, case):
+        make, name, replacement, message = INCONSISTENT[case]
+        cpath = write(tmp_path, "ch.json", dumps_report(channel_to_document(make(2))))
+        m = measurement_to_document(computational_measurement(2))
+        mpath = write(tmp_path, "m.json", dumps_report(m))
+        monkeypatch.setattr(measurement, name, replacement)
+        code, out, err = run(["check-measurement", cpath, mpath])
+        assert code == 3
+        error = strict_json(out)["error"]
+        assert error["type"] == "ToleranceFailure"
+        assert message in error["message"]
+        assert "Traceback" not in err

@@ -25,6 +25,7 @@ from krausblocks import (
     validate_kraus,
 )
 from krausblocks.errors import (
+    DimensionMismatch,
     MultisetMismatch,
     NotInvariant,
     NotOrthonormal,
@@ -71,6 +72,21 @@ class TestSubspace:
             IrisDecomposition(2, (e1, e1), (1, 1))  # not orthogonal
         with pytest.raises(Exception):
             IrisDecomposition(2, (e1,), (1,))  # dims don't cover
+
+    @pytest.mark.parametrize("certificates, error, message", [
+        ((1,), DimensionMismatch, "one certificate per block required"),
+        ((1, 2), ToleranceFailure, "every block must certify a commutant count of 1"),
+    ])
+    def test_decomposition_certificates(self, certificates, error, message):
+        e1, e2 = (Subspace(2, c[:, None]) for c in np.eye(2, dtype=complex))
+        with pytest.raises(error, match=message):
+            IrisDecomposition(2, (e1, e2), certificates)
+
+    def test_decomposition_ambient_dims(self):
+        e1 = Subspace(2, np.array([[1.0], [0.0]], dtype=complex))
+        e3 = Subspace(3, np.array([[0.0], [0.0], [1.0]], dtype=complex))
+        with pytest.raises(DimensionMismatch, match="same ambient space"):
+            IrisDecomposition(3, (e1, e3), (1, 1))
 
 
 class TestInvariance:

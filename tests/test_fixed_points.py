@@ -17,12 +17,20 @@ from krausblocks import (
     fixed_pure_state_check,
     identity_channel,
     haar_unitary,
+    iris_decompose,
     is_fixed,
     random_unital_channel,
     restrict,
     unitary_channel,
 )
-from krausblocks.errors import NotADensityMatrix, NotFixed, NotNormalized, ToleranceFailure
+from krausblocks import decomposition
+from krausblocks.errors import (
+    DimensionMismatch,
+    NotADensityMatrix,
+    NotFixed,
+    NotNormalized,
+    ToleranceFailure,
+)
 from krausblocks.linalg import DEFAULT_TOL, max_abs
 
 from tests import dense
@@ -33,7 +41,9 @@ from tests.dense import (
     dense_commutant,
     null_space,
 )
+from tests.test_golden import CASES as GOLDEN_CASES
 from tests.util import (
+    count_calls,
     coupled_blocks,
     fixed_hermitian_basis_oracle,
     random_density,
@@ -345,6 +355,57 @@ class TestClassify:
         dec = iris_decompose(ch, seed=0)
         with pytest.raises(NotADensityMatrix):
             classify_fixed_state(ch, np.diag([2.0, 0.0]), dec)
+
+
+# channels with isomorphic copies, where a fixed state can be no mixture over
+# a decomposition, and how closely projections at different seeds must agree
+DEGENERATE = {
+    "identity_d64": (lambda: identity_channel(64), 1e-12),
+    "copies_3x2": (GOLDEN_CASES["copies_3x2"], 1e-12),
+    "identity_d5": (GOLDEN_CASES["identity_d5"], 1e-12),
+    "refined_copies": (
+        lambda: coupled_blocks(1e-9, 0, dims=(2, 2, 2), copies=True), DEFAULT_TOL.residual
+    ),
+}
+
+
+class TestDegenerateProjection:
+    """A degenerate state is projected with the decomposition it was fitted
+    against; no second split is made."""
+
+    @pytest.mark.parametrize("case", DEGENERATE)
+    def test_seeds_agree_with_the_oracle(self, case):
+        make, tol = DEGENERATE[case]
+        ch = make()
+        rho = random_density(ch.dim, np.random.default_rng(6))
+        # a fixed state is its own projection: the dense oracle's projection
+        # of a random state, except at d = 64, where the oracle would need
+        # d^4 entries and the identity fixes every state
+        if ch.dim <= 8:
+            rho = dense_commutant(ch).project(rho)
+        for seed in (0, 3, 7):
+            result = classify_fixed_state(ch, rho, iris_decompose(ch, seed=seed))
+            assert isinstance(result, DegenerateFixedState), seed
+            assert max_abs(result.commutant_projection - rho) <= tol, seed
+
+    def test_refined_copies_take_the_refined_path(self):
+        make, _ = DEGENERATE["refined_copies"]
+        assert iris_decompose(make()).split.method == "refined"
+
+    def test_no_split(self, monkeypatch):
+        ch = identity_channel(6)
+        dec = iris_decompose(ch, seed=3)
+        rho = random_density(6, np.random.default_rng(1))
+        splits = count_calls(monkeypatch, decomposition, "iris_decompose")
+        assert isinstance(classify_fixed_state(ch, rho, dec), DegenerateFixedState)
+        assert splits == []
+        assert commutant_basis(ch).count == 36
+        assert len(splits) == 1
+
+    def test_decomposition_of_another_dimension(self):
+        dec = iris_decompose(identity_channel(3))
+        with pytest.raises(DimensionMismatch, match="decomposition ambient dim 3"):
+            classify_fixed_state(identity_channel(2), np.eye(2) / 2, dec)
 
 
 class TestStructuralFacts:

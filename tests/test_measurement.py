@@ -26,7 +26,15 @@ from krausblocks import (
     violation_witness,
 )
 from krausblocks import measurement
-from krausblocks.errors import InvalidMeasurement, NoViolation, NotAProjector, NotPSD
+from krausblocks.decomposition import InvarianceReport
+from krausblocks.errors import (
+    InvalidMeasurement,
+    NoViolation,
+    NotAProjector,
+    NotPSD,
+    ToleranceFailure,
+)
+from krausblocks.measurement import CommutationReport
 from krausblocks.linalg import max_abs
 
 from tests.util import (
@@ -342,3 +350,36 @@ class TestMeasurementPreserved:
             assert isinstance(out, StructuralDecomposition)
             for t in out.terms:
                 assert is_invariant_subspace(ch, t.subspace).invariant
+
+
+def _report(cls, flag: bool):
+    """A replacement criterion that returns ``cls(flag, residual)`` whatever it is given."""
+    return lambda *args, **kwargs: cls(flag, 0.0 if flag else 1.0)
+
+
+# criteria that disagree with the others: (channel, patched name, replacement,
+# message); each must end in ToleranceFailure, never in an inconsistent report
+INCONSISTENT = {
+    "preserved element, eigenspace not invariant": (
+        dephasing_channel, "is_invariant_subspace", _report(InvarianceReport, False),
+        "element is preserved but one of its eigenspaces failed the invariance check"),
+    "element not preserved, every eigenspace invariant": (
+        lambda d: depolarizing_channel(d, 0.5), "is_invariant_subspace",
+        _report(InvarianceReport, True),
+        "element is not preserved yet every eigenspace passed the invariance check"),
+    "preservation and range invariance disagree": (
+        dephasing_channel, "_intertwining", _report(CommutationReport, False),
+        "per-element preservation and projector-range invariance disagree"),
+    "invariant ranges, channels do not commute": (
+        dephasing_channel, "channels_commute", _report(CommutationReport, False),
+        "every projector range is invariant yet the measurement channel fails to commute"),
+}
+
+
+class TestInconsistentTolerances:
+    @pytest.mark.parametrize("case", INCONSISTENT, ids=str)
+    def test_tolerance_failure(self, monkeypatch, case):
+        make, name, replacement, message = INCONSISTENT[case]
+        monkeypatch.setattr(measurement, name, replacement)
+        with pytest.raises(ToleranceFailure, match=message):
+            measurement_preserved(make(2), computational_measurement(2))

@@ -217,3 +217,63 @@ class TestNonFiniteEntries:
                 '-1.7976931348623157e308]]}')
         assert parse_operator(text)[0, 0] == complex(1.7976931348623157e308,
                                                      -1.7976931348623157e308)
+
+
+class TestDocumentInput:
+    """Every parser takes the document as text, UTF-8 bytes or an already
+    decoded object, and checks the same header."""
+
+    DOCS = {
+        parse_channel_ops: {"schema_version": "1", "dim": 1, "kraus": [[[1, 0]]]},
+        parse_measurement: {"schema_version": "1", "dim": 1, "type": "povm",
+                            "elements": [[[1, 0]]]},
+        parse_operator: {"schema_version": "1", "dim": 1, "matrix": [[1, 0]]},
+    }
+    PARSERS = list(DOCS)
+
+    @staticmethod
+    def operators(result):
+        if isinstance(result, tuple):  # parse_channel_ops: (dim, stack)
+            return result[1]
+        return getattr(result, "elements", result)
+
+    @pytest.mark.parametrize("parse", PARSERS, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("form", [str.encode, lambda s: bytearray(s.encode()), json.loads],
+                             ids=["bytes", "bytearray", "object"])
+    def test_forms_agree(self, parse, form):
+        text = json.dumps(self.DOCS[parse])
+        expected = np.asarray(self.operators(parse(text)))
+        assert np.array_equal(np.asarray(self.operators(parse(form(text)))), expected)
+
+    @pytest.mark.parametrize("parse", PARSERS, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("data", [b"[1]", [1], b"{", "\"x\""],
+                             ids=["bytes-list", "list", "bytes-broken", "string"])
+    def test_not_an_object(self, parse, data):
+        with pytest.raises(ParseError) as exc:
+            parse(data)
+        assert exc.value.path == "$"
+        message = "invalid JSON at line 1, column 2" if data == b"{" else \
+            "document must be a JSON object"
+        assert str(exc.value) == f"$: {message}"
+
+    @pytest.mark.parametrize("parse", PARSERS, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("dim, path, message", [
+        (0, "$.dim", "dim must be >= 1"),
+        (-2, "$.dim", "dim must be >= 1"),
+        (True, "$.dim", "field 'dim' must be an integer"),
+        ("1", "$.dim", "field 'dim' has the wrong type"),
+    ])
+    def test_header(self, parse, dim, path, message):
+        doc = json.dumps({**self.DOCS[parse], "dim": dim}).encode()
+        with pytest.raises(ParseError) as exc:
+            parse(doc)
+        assert str(exc.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("parse, key", [(parse_channel_ops, "kraus"),
+                                            (parse_measurement, "elements")],
+                             ids=["kraus", "elements"])
+    def test_empty_list(self, parse, key):
+        doc = json.dumps({**self.DOCS[parse], key: []}).encode()
+        with pytest.raises(ParseError) as exc:
+            parse(doc)
+        assert str(exc.value) == f"$.{key}: {key} list must be nonempty"
