@@ -48,9 +48,8 @@ QUANTITY_KINDS = (
 class ChannelQuantity:
     """A computed or combined channel quantity, in bits.
 
-    ``method`` records provenance: ``optimized`` for values produced by the
-    optimizers here, ``combined`` for block combinations, ``external`` for
-    caller-supplied per-block inputs.
+    ``method`` records provenance: ``optimized``, the one value the
+    optimizers here produce.
     """
 
     kind: str

@@ -6,9 +6,9 @@ channel, measurement, ``--state`` density matrix or ``--unitary``), 2 parse
 or argument error (a dimension mismatch between input documents included), 3
 tolerance, convergence or numerical failure. Reports embed the schema
 version and tolerances; ``serialize.dumps_report`` writes them, byte-identical
-for identical inputs, every float read back exactly. ``decompose``,
-``fixed-states``, ``restrict`` and ``capacity`` share one step that loads,
-validates and decomposes the channel and starts the report.
+for identical inputs, every float read back exactly. Every verb that needs a
+valid channel starts its report through one loader, and each report section
+that two verbs share is defined once.
 """
 
 from __future__ import annotations
@@ -148,28 +148,17 @@ def _read(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}", "$")
 
 
 def _load_channel(path: str, tol: Tolerances) -> tuple[KrausChannel, dict]:
+    """The validated channel at ``path`` and its ``validation`` report field."""
     dim, kraus = parse_channel_ops(_read(path))
     report = validate_kraus(kraus, tol)
     if not (report.is_trace_preserving and report.is_unital):
         raise ValidationError("channel is not unital trace-preserving", report=report)
     return KrausChannel(dim=dim, kraus=kraus), asdict(report)
-
-
-def _subspace_doc(s) -> dict:
-    return {"dim": s.dim, "basis": matrix_to_wire(s.basis)}
-
-
-def _decomposition_doc(dec: IrisDecomposition) -> dict:
-    return {
-        "block_dims": list(dec.block_dims),
-        "certificates": list(dec.irreducibility_certificates),
-        "blocks": [_subspace_doc(s) for s in dec.blocks],
-    }
 
 
 def _report_head(command: str, tol: Tolerances) -> dict:
@@ -180,15 +169,37 @@ def _report_head(command: str, tol: Tolerances) -> dict:
     }
 
 
-def _decomposed(args, tol: Tolerances) -> tuple[KrausChannel, IrisDecomposition, dict]:
-    """Load and validate the channel, decompose it at ``--seed`` and start the
-    report with its ``seed`` and ``validation``."""
-    ch, vdoc = _load_channel(args.channel, tol)
-    dec = iris_decompose(ch, tol, seed=args.seed)
+def _channel_report(args, tol: Tolerances) -> tuple[KrausChannel, list[IrisDecomposition], dict]:
+    """Load the channel of a channel verb, decompose it at each of the verb's
+    seeds and start its report: the header, ``seed`` or ``seeds``, then
+    ``validation``."""
+    ch, validation = _load_channel(args.channel, tol)
     out = _report_head(args.command, tol)
-    out["seed"] = args.seed
-    out["validation"] = vdoc
-    return ch, dec, out
+    seeds = []
+    if "seed" in args:
+        out["seed"] = args.seed
+        seeds = [args.seed]
+    if "seeds" in args:
+        out["seeds"] = seeds = list(args.seeds)
+    out["validation"] = validation
+    return ch, [iris_decompose(ch, tol, seed=s) for s in seeds], out
+
+
+def _subspace_doc(s) -> dict:
+    return {"dim": s.dim, "basis": matrix_to_wire(s.basis)}
+
+
+def _structure_doc(dec: IrisDecomposition) -> dict:
+    """The ``commutant_count``, ``split`` and ``decomposition`` report fields."""
+    return {
+        "commutant_count": dec.commutant_count,
+        "split": asdict(dec.split),
+        "decomposition": {
+            "block_dims": list(dec.block_dims),
+            "certificates": list(dec.irreducibility_certificates),
+            "blocks": [_subspace_doc(s) for s in dec.blocks],
+        },
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -212,17 +223,15 @@ def _cmd_validate(args, tol):
 
 
 def _cmd_decompose(args, tol):
-    _, dec, out = _decomposed(args, tol)
-    out["commutant_count"] = dec.commutant_count
-    out["split"] = asdict(dec.split)
-    out["decomposition"] = _decomposition_doc(dec)
+    _, (dec,), out = _channel_report(args, tol)
+    out.update(_structure_doc(dec))
     human = [f"blocks: {list(dec.block_dims)} (commutant count {dec.commutant_count})"]
     return out, human, 0
 
 
 def _cmd_restrict(args, tol):
     require_at_least("--block", args.block, 0)  # before the channel is read
-    ch, dec, out = _decomposed(args, tol)
+    ch, (dec,), out = _channel_report(args, tol)
     if args.block >= dec.n_blocks:
         raise InvalidParameter(
             f"--block must be in [0, {dec.n_blocks - 1}] for this decomposition"
@@ -238,13 +247,8 @@ def _cmd_restrict(args, tol):
 
 
 def _cmd_match(args, tol):
-    ch, vdoc = _load_channel(args.channel, tol)
-    d1 = iris_decompose(ch, tol, seed=args.seeds[0])
-    d2 = iris_decompose(ch, tol, seed=args.seeds[1])
+    _, (d1, d2), out = _channel_report(args, tol)
     matching = match_decompositions(d1, d2, tol)
-    out = _report_head("match", tol)
-    out["seeds"] = list(args.seeds)
-    out["validation"] = vdoc
     out["left_dims"] = list(d1.block_dims)
     out["right_dims"] = list(d2.block_dims)
     out["components"] = [
@@ -263,10 +267,8 @@ def _cmd_match(args, tol):
 
 
 def _cmd_fixed_states(args, tol):
-    ch, dec, out = _decomposed(args, tol)
-    out["commutant_count"] = dec.commutant_count
-    out["split"] = asdict(dec.split)
-    out["decomposition"] = _decomposition_doc(dec)
+    ch, (dec,), out = _channel_report(args, tol)
+    out.update(_structure_doc(dec))
     out["building_blocks"] = [
         {"dim": s.dim, "uniform_weight": s.dim / ch.dim} for s in dec.blocks
     ]
@@ -303,23 +305,19 @@ def _cmd_fixed_states(args, tol):
 
 
 def _cmd_check_measurement(args, tol):
-    ch, vdoc = _load_channel(args.channel, tol)
+    ch, _, out = _channel_report(args, tol)
     m = parse_measurement(_read(args.measurement), tol)
     report = measurement_preserved(ch, m, tol)
-    out = _report_head("check-measurement", tol)
-    out["validation"] = vdoc
     out["measurement_type"] = "projective" if report.commute is not None else "povm"
     elements = []
     for er in report.elements:
         edoc = {"preserved": er.preserved, "residual": er.residual}
         if isinstance(er.structure, StructuralDecomposition):
             edoc["terms"] = [
-                {"weight": t.weight, "dim": t.subspace.dim, "basis": matrix_to_wire(t.subspace.basis)}
-                for t in er.structure.terms
+                {"weight": t.weight, **_subspace_doc(t.subspace)} for t in er.structure.terms
             ]
         else:
-            w = er.structure.witness_subspace
-            edoc["witness"] = {"dim": w.dim, "basis": matrix_to_wire(w.basis)}
+            edoc["witness"] = _subspace_doc(er.structure.witness_subspace)
         elements.append(edoc)
     out["elements"] = elements
     out["all_preserved"] = report.all_preserved
@@ -332,73 +330,64 @@ def _cmd_check_measurement(args, tol):
     return out, human, 0
 
 
+# --quantity -> (kind, the flags it reads, bound, multi-start); any other capacity
+# flag is rejected. Each kind but classical_capacity (from --values) names the
+# optimizer imported above; a multi-start one takes --seed and reports restarts.
+# Each block value is a best-effort optimum: an upper bound on the minimal output
+# entropy, which the min rule keeps, and a lower bound on the coherent
+# information, which the max rule keeps; the assisted capacity's ascent values
+# and their log-sum both lie below C_E.
+_QUANTITIES = {
+    "smin": ("min_output_renyi", ("--restarts", "--alpha"), "upper", True),
+    "ce": ("ent_assisted_capacity", ("--max-iters",), "lower", False),
+    "coh": ("coherent_information", ("--max-iters", "--restarts"), "lower", True),
+    "combine": ("classical_capacity", ("--values",), None, False),
+}
+
+
 def _cmd_capacity(args, tol):
-    for flag, value, quantities in (("--max-iters", args.max_iters, ("ce", "coh")),
-                                    ("--restarts", args.restarts, ("smin", "coh")),
-                                    ("--alpha", args.alpha, ("smin",)),
-                                    ("--values", args.values, ("combine",))):
-        if value is not None and args.quantity not in quantities:
-            raise InvalidParameter(f"{flag} applies only to --quantity {' and '.join(quantities)}")
-    opts = {}  # the flags given; each unset one keeps the library default
+    kind, flags, bound, multistart = _QUANTITIES[args.quantity]
+    for flag in ("--max-iters", "--restarts", "--alpha", "--values"):
+        if getattr(args, flag[2:].replace("-", "_")) is not None and flag not in flags:
+            readers = [q for q, row in _QUANTITIES.items() if flag in row[1]]
+            raise InvalidParameter(f"{flag} applies only to --quantity {' and '.join(readers)}")
+    opts = {}  # the optimizer's arguments; a flag not given keeps the library default
     if args.restarts is not None:
         require_at_least("--restarts", args.restarts, 1)  # before the channel is read
         opts["restarts"] = args.restarts
     if args.max_iters is not None:
         require_at_least("--max-iters", args.max_iters, 0)
         opts["max_iters"] = args.max_iters
-    if args.quantity == "combine":
+    if "--values" in flags:
         if not args.values:
             raise InvalidParameter("--quantity combine needs --values")
-        combined = reduce_over_blocks("classical_capacity", args.values)
-        out = _report_head("capacity", tol)
-        out["quantity"] = {
-            "kind": "classical_capacity",
-            "method": "combined",
-            "per_block": [float(v) for v in args.values],
-            "combined_bits": combined,
-        }
-        return out, [f"combined classical capacity: {combined:.6f} bits"], 0
-
-    if not args.channel:
-        raise InvalidParameter("this quantity needs a channel document")
-    alpha = 1.0 if args.alpha is None else args.alpha
-    if args.quantity == "smin":
-        require_renyi_order(alpha)  # rejected before the channel is decomposed
-    ch, dec, out = _decomposed(args, tol)
-    out["block_dims"] = list(dec.block_dims)
-
-    kind = {"smin": "min_output_renyi", "ce": "ent_assisted_capacity",
-            "coh": "coherent_information"}[args.quantity]
-    per_block = []
-    for s in dec.blocks:
-        sub = restrict(ch, s, tol)
-        if kind == "min_output_renyi":
-            q = min_output_renyi(sub, alpha, seed=args.seed, tol=tol, **opts)
-        elif kind == "ent_assisted_capacity":
-            q = ent_assisted_capacity(sub, tol, **opts)
-        else:
-            q = coherent_information(sub, seed=args.seed, tol=tol, **opts)
-        per_block.append(q.value)
-    combined = reduce_over_blocks(kind, per_block)
-    qdoc = {
-        "kind": kind,
-        "method": "combined",
-        "per_block": per_block,
-        "combined_bits": combined,
-    }
-    # each block value is a best-effort multi-start optimum: an upper bound on
-    # the minimal output entropy, which the min rule keeps, and a lower bound
-    # on the coherent information, which the max rule keeps; the assisted
-    # capacity's ascent values and their log-sum both lie below C_E
-    if kind == "min_output_renyi":
-        qdoc["alpha"] = alpha
-        qdoc["bound"] = "upper"
+        out, per_block = _report_head("capacity", tol), [float(v) for v in args.values]
+        label, where = "combined classical capacity", ""
     else:
-        qdoc["bound"] = "lower"
-    if kind != "ent_assisted_capacity":
+        if not args.channel:
+            raise InvalidParameter("this quantity needs a channel document")
+        if "--alpha" in flags:
+            opts["alpha"] = 1.0 if args.alpha is None else args.alpha
+            require_renyi_order(opts["alpha"])  # rejected before the channel is decomposed
+        if multistart:
+            opts["seed"] = args.seed
+        ch, (dec,), out = _channel_report(args, tol)
+        out["block_dims"] = list(dec.block_dims)
+        per_block = []
+        for s in dec.blocks:
+            q = globals()[kind](restrict(ch, s, tol), tol=tol, **opts)
+            per_block.append(q.value)
+        label, where = kind, f" over blocks {list(dec.block_dims)}"
+    combined = reduce_over_blocks(kind, per_block)
+    qdoc = {"kind": kind, "method": "combined", "per_block": per_block, "combined_bits": combined}
+    if "alpha" in opts:
+        qdoc["alpha"] = opts["alpha"]
+    if bound:
+        qdoc["bound"] = bound
+    if multistart:
         qdoc["restarts"] = q.restarts_used
     out["quantity"] = qdoc
-    return out, [f"{kind}: {combined:.6f} bits over blocks {list(dec.block_dims)}"], 0
+    return out, [f"{label}: {combined:.6f} bits{where}"], 0
 
 
 def _cmd_gen(args, tol):

@@ -3,9 +3,9 @@
 A POVM element's statistics survive the channel for every input state exactly
 when the adjoint channel fixes the element, which in turn happens exactly when
 the element is a nonnegative combination of invariant-block projectors. For
-projective measurements this is equivalent to the measurement channel
-commuting with the channel under test. With ``L_P = conj(P) kron P``, the
-product ``L_P L_phi`` is the superoperator of the Kraus set ``{P A_i}`` (and
+projective measurements this implies that the measurement channel commutes
+with the channel under test. With ``L_P = conj(P) kron P``, the product
+``L_P L_phi`` is the superoperator of the Kraus set ``{P A_i}`` (and
 ``L_phi L_P`` that of ``{A_i P}``), so no Kronecker product is formed.
 """
 
@@ -15,7 +15,7 @@ from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .channel import KrausChannel
+from .channel import KrausChannel, superoperator_distance
 from .decomposition import Subspace, is_invariant_subspace
 from .errors import (
     DimensionMismatch,
@@ -133,9 +133,8 @@ def projection_intertwines(
 
 def _intertwining(ch: KrausChannel, p: np.ndarray, tol: Tolerances) -> CommutationReport:
     """:func:`projection_intertwines` for a projector already checked."""
-    left = KrausChannel(dim=ch.dim, kraus=p @ ch.kraus).superoperator_matrix()
-    right = KrausChannel(dim=ch.dim, kraus=ch.kraus @ p).superoperator_matrix()
-    residual = max_abs(left - right)
+    residual = superoperator_distance(KrausChannel(dim=ch.dim, kraus=p @ ch.kraus),
+                                      KrausChannel(dim=ch.dim, kraus=ch.kraus @ p))
     return CommutationReport(commute=residual <= tol.residual, residual=residual)
 
 

@@ -113,13 +113,15 @@ def _header(data) -> tuple[dict, int]:
     """The document (text, UTF-8 bytes or a decoded object) as a dict, and its
     ``dim``: the checks every document shares, a JSON object with a string
     ``schema_version`` and an integer ``dim >= 1``."""
-    if isinstance(data, (bytes, bytearray)):
-        data = data.decode("utf-8")
-    if isinstance(data, str):
-        try:
+    try:
+        if isinstance(data, (bytes, bytearray)):
+            data = data.decode("utf-8")
+        if isinstance(data, str):
             data = json.loads(data)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
+    except (UnicodeDecodeError, RecursionError) as exc:  # not UTF-8; nested too deeply
+        raise ParseError(f"cannot decode the document: {exc}") from exc
     if not isinstance(data, dict):
         raise ParseError("document must be a JSON object")
     _require(data, "schema_version", str)
@@ -146,12 +148,13 @@ def _matrix_list(obj: dict, key: str, dim: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _document(dim: int, **fields) -> dict:
+    """A document: the ``schema_version`` and ``dim`` header, then ``fields``."""
+    return {"schema_version": SCHEMA_VERSION, "dim": dim, **fields}
+
+
 def channel_to_document(ch: KrausChannel, metadata: dict | None = None) -> dict:
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "dim": ch.dim,
-        "kraus": [matrix_to_wire(a) for a in ch.kraus],
-    }
+    doc = _document(ch.dim, kraus=[matrix_to_wire(a) for a in ch.kraus])
     if metadata:
         doc["metadata"] = metadata
     return doc
@@ -184,12 +187,8 @@ def parse_channel(data, tol: Tolerances = DEFAULT_TOL) -> KrausChannel:
 def measurement_to_document(m: Povm | ProjectiveMeasurement) -> dict:
     projective = isinstance(m, ProjectiveMeasurement)
     elements = m.projectors if projective else m.elements
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "dim": m.dim,
-        "type": "projective" if projective else "povm",
-        "elements": [matrix_to_wire(e) for e in elements],
-    }
+    return _document(m.dim, type="projective" if projective else "povm",
+                     elements=[matrix_to_wire(e) for e in elements])
 
 
 def parse_measurement(data, tol: Tolerances = DEFAULT_TOL) -> Povm | ProjectiveMeasurement:
@@ -206,11 +205,7 @@ def parse_measurement(data, tol: Tolerances = DEFAULT_TOL) -> Povm | ProjectiveM
 
 def operator_to_document(m: np.ndarray) -> dict:
     a = np.asarray(m, dtype=complex)
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "dim": int(a.shape[0]),
-        "matrix": matrix_to_wire(a),
-    }
+    return _document(int(a.shape[0]), matrix=matrix_to_wire(a))
 
 
 def parse_operator(data) -> np.ndarray:

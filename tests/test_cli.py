@@ -701,6 +701,28 @@ class TestMeasurementValidation:
         assert json.loads(out)["error"]["type"] == "InvalidMeasurement"
 
 
+class TestEigenclusterFlag:
+    """``--tol-eigencluster`` sets where eigenvalues of a POVM element count as
+    one eigenspace: a 5e-9 gap is one cluster at the default 1e-7 and two at
+    1e-9."""
+
+    def test_splits_close_eigenvalues(self, tmp_path):
+        code, doc, _ = run(["gen", "--kind", "identity", "--dim", "2"])
+        ch = write(tmp_path, "id.json", doc)
+        e = np.diag([0.5, 0.5 + 5e-9]).astype(complex)
+        m = {"schema_version": "1", "dim": 2, "type": "povm",
+             "elements": [matrix_to_wire(e), matrix_to_wire(np.eye(2) - e)]}
+        mpath = write(tmp_path, "m.json", json.dumps(m))
+        for flags, terms in (([], 1), (["--tol-eigencluster", "1e-9"], 2)):
+            code, out, _ = run(["check-measurement", ch, mpath, *flags])
+            assert code == 0
+            report = strict_json(out)
+            assert report["all_preserved"] is True
+            assert [len(el["terms"]) for el in report["elements"]] == [terms, terms]
+            assert sum(t["dim"] for t in report["elements"][0]["terms"]) == 2
+        assert '"eigencluster":1e-09' in out
+
+
 class TestInputValidationExitCodes:
     """An input document that fails its own validation exits 1, like a channel."""
 
@@ -928,6 +950,26 @@ class TestInputContract:
         m = write(tmp_path, "m.json", json.dumps({**self.MEASUREMENT, "dim": -1,
                                                   "type": "nope", "elements": []}))
         self.expect(["check-measurement", depolarizing_doc, m], "$.dim", "dim must be >= 1")
+
+    # a byte that is not UTF-8, and arrays nested past the recursion limit
+    UNDECODABLE = {
+        "not-utf8": b'{"schema_version": "1", "dim": 1, "kraus": [[[1, 0]]], "x": "\xff"}',
+        "nested": b"[" * 200000,
+    }
+
+    @pytest.mark.parametrize("raw", UNDECODABLE.values(), ids=UNDECODABLE.keys())
+    @pytest.mark.parametrize("as_state", [False, True], ids=["channel", "state"])
+    def test_undecodable(self, tmp_path, depolarizing_doc, raw, as_state):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(raw)
+        argv = ["fixed-states", depolarizing_doc, "--state", bad] if as_state else \
+            ["validate", bad]
+        code, out, err = run(argv)
+        assert code == 2
+        error = strict_json(out)["error"]
+        assert error["type"] == "ParseError"
+        assert error["path"] == "$"
+        assert "Traceback" not in err
 
     def test_smin_without_a_channel(self):
         code, out, err = run(["capacity", "--quantity", "smin"])

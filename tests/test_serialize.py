@@ -257,6 +257,17 @@ class TestDocumentInput:
         assert str(exc.value) == f"$: {message}"
 
     @pytest.mark.parametrize("parse", PARSERS, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("data", [b"\xff", bytearray(b'{"dim": "\xff"}'), "[" * 200000,
+                                      b"[" * 200000],
+                             ids=["bytes-not-utf8", "bytearray-not-utf8", "nested",
+                                  "bytes-nested"])
+    def test_undecodable(self, parse, data):
+        with pytest.raises(ParseError) as exc:
+            parse(data)
+        assert exc.value.path == "$"
+        assert str(exc.value).startswith("$: cannot decode the document: ")
+
+    @pytest.mark.parametrize("parse", PARSERS, ids=lambda f: f.__name__)
     @pytest.mark.parametrize("dim, path, message", [
         (0, "$.dim", "dim must be >= 1"),
         (-2, "$.dim", "dim must be >= 1"),
