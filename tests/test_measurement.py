@@ -35,11 +35,12 @@ from krausblocks.errors import (
     ToleranceFailure,
 )
 from krausblocks.measurement import CommutationReport
-from krausblocks.linalg import max_abs
+from krausblocks.linalg import DEFAULT_TOL, max_abs
 
 from tests.util import (
     block_measurement,
     computational_measurement,
+    count_calls,
     random_density,
     random_subspace,
     rotated_direct_sum,
@@ -151,6 +152,85 @@ class TestChannelsCommute:
         a = projective_channel(computational_measurement(2))
         b = unitary_channel(H)
         assert not channels_commute(a, b).commute
+
+
+def _block_sum():
+    ch, _, projectors = rotated_direct_sum((2, 3), seed=40)
+    return ch, ProjectiveMeasurement(5, tuple(projectors))
+
+
+# (channel and measurement, form of the whole-measurement residual): the range
+# form when sum_k r_k^2 < k K, else the Kraus form
+FACTORED = {
+    "computational basis, random channel": (
+        lambda: (random_unital_channel(5, 3, seed=8), computational_measurement(5)), "range"),
+    "block projectors, rotated sum": (_block_sum, "kraus"),
+    "trivial measurement": (
+        lambda: (random_unital_channel(5, 3, seed=8),
+                 ProjectiveMeasurement(5, (np.eye(5, dtype=complex),))), "kraus"),
+    "computational basis, depolarizing (k = d^2)": (
+        lambda: (depolarizing_channel(4, 0.5), computational_measurement(4)), "range"),
+    "computational basis, dephasing": (
+        lambda: (dephasing_channel(5), computational_measurement(5)), "range"),
+    "computational basis and a zero projector": (
+        lambda: (random_unital_channel(3, 3, seed=8), ProjectiveMeasurement(
+            3, computational_measurement(3).projectors + (np.zeros((3, 3), complex),))),
+        "range"),
+}
+
+
+def _check_against_dense(monkeypatch, ch, m, form: str, within: float):
+    """The whole-measurement and per-projector residuals against the d^2 x d^2
+    products of ``channels_commute`` and ``superoperator_distance``."""
+    kron = count_calls(monkeypatch, measurement, "_kron_columns")
+    measurement._measurement_commutes(ch, m, DEFAULT_TOL)
+    assert ("range" if kron else "kraus") == form
+    commute = measurement_preserved(ch, m).commute
+    dense = channels_commute(projective_channel(m), ch)
+    assert abs(commute.residual - dense.residual) <= within
+    assert commute.commute == dense.commute
+    for p in m.projectors:
+        one = measurement._intertwining(ch, p, DEFAULT_TOL)
+        distance = superoperator_distance(KrausChannel(ch.dim, p @ ch.kraus),
+                                          KrausChannel(ch.dim, ch.kraus @ p))
+        assert abs(one.residual - distance) <= within
+        assert one.commute == (distance <= DEFAULT_TOL.residual)
+
+
+class TestFactoredCommutator:
+    @pytest.mark.parametrize("case", FACTORED, ids=str)
+    def test_matches_dense_products(self, monkeypatch, case):
+        make, form = FACTORED[case]
+        ch, m = make()
+        _check_against_dense(monkeypatch, ch, m, form, 1e-13)
+
+    def test_near_tolerance_projectors(self, monkeypatch):
+        # (1 + 1e-11) u u^dagger still passes as a projector; the range form
+        # puts u u^dagger in its place
+        rng = np.random.default_rng(12)
+        u = np.linalg.qr(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))[0]
+        m = ProjectiveMeasurement(
+            5, tuple((1 + 1e-11) * np.outer(u[:, k], u[:, k].conj()) for k in range(5)))
+        assert max(max_abs(p @ p - p) for p in m.projectors) > 1e-12
+        _check_against_dense(monkeypatch, random_unital_channel(5, 3, seed=8), m, "range", 1e-10)
+
+    @pytest.mark.parametrize("entries", [1, 2, 40, 10**6])
+    def test_row_blocks_keep_the_max(self, monkeypatch, entries):
+        # at large d the product is read a block of rows at a time; blocks of
+        # other shapes may round differently
+        for make, _ in FACTORED.values():
+            ch, m = make()
+            whole = measurement._commutator_residual(ch, m.projectors)
+            with monkeypatch.context() as patch:
+                patch.setattr(measurement, "_PRODUCT_ENTRIES", entries * ch.dim)
+                assert abs(measurement._commutator_residual(ch, m.projectors) - whole) <= 1e-15
+
+    def test_no_superoperator_matrix(self, monkeypatch):
+        cases = [make() for make, _ in FACTORED.values()]
+        supers = count_calls(monkeypatch, KrausChannel, "superoperator_matrix")
+        for ch, m in cases:
+            measurement_preserved(ch, m)
+        assert len(supers) == 0
 
 
 class TestStatisticsPreserved:
@@ -371,7 +451,7 @@ INCONSISTENT = {
         dephasing_channel, "_intertwining", _report(CommutationReport, False),
         "per-element preservation and projector-range invariance disagree"),
     "invariant ranges, channels do not commute": (
-        dephasing_channel, "channels_commute", _report(CommutationReport, False),
+        dephasing_channel, "_measurement_commutes", _report(CommutationReport, False),
         "every projector range is invariant yet the measurement channel fails to commute"),
 }
 
