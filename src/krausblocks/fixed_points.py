@@ -6,19 +6,20 @@ commutes with every Kraus operator, so the fixed set is the commutant
 (Arias-Gheondea-Gudder). It is built in ``d x d`` work from one irreducible
 decomposition of the channel: the ``m_c`` aligned copies of one
 ``n_c``-dimensional block form a Wedderburn component, and the matrix units
-``W_a W_b^dagger`` between copies span the commutant. :func:`commutant_basis`
-splits the space once with :func:`~krausblocks.decomposition.iris_decompose`;
-:func:`classify_fixed_state` reuses the decomposition it is given.
+``W_a W_b^dagger`` between copies span the commutant. The split and its
+components come from :func:`~krausblocks.decomposition.iris_decompose`, once;
+only the copies are aligned here.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import KrausChannel
-from .decomposition import IrisDecomposition, _algebra_element, _components, iris_decompose
+from .decomposition import IrisDecomposition, _algebra_element, iris_decompose
 from .errors import DimensionMismatch, NotFixed, NotNormalized
 from .linalg import DEFAULT_TOL, Tolerances, as_matrix, density_matrix, frozen, max_abs, seeded_rng
 
@@ -40,28 +41,26 @@ class CommutantBasis:
         return len(self.hermitian_basis)
 
 
-def _wedderburn(ch: KrausChannel, blocks, tol: Tolerances) -> list[np.ndarray]:
+def _wedderburn(ch: KrausChannel, dec: IrisDecomposition) -> Iterator[np.ndarray]:
     """The Wedderburn components of the channel, each as a ``d x m x n`` array
     W of its m copies of an n-dimensional irreducible block, aligned so that
-    ``W[:, a]^dagger A_i W[:, a]`` is the same for every copy a: ``blocks``,
-    the blocks of an irreducible decomposition of ``ch``, grouped by
-    :func:`_components`, each rotated onto the eigenvectors of its compression
-    of the random algebra element H (an intertwiner commutes with it, so is
-    diagonal there), with the phases set against the first copy by the first
-    row of one random Kraus combination. Nothing is split here."""
+    ``W[:, a]^dagger A_i W[:, a]`` is the same for every copy a: the copies
+    ``dec.components`` lists, from an irreducible decomposition ``dec`` of
+    ``ch``, each rotated onto the eigenvectors of its compression of a random
+    algebra element H (an intertwiner commutes with it, so is diagonal
+    there), with the phases set against the first copy by the first row of
+    one random Kraus combination. Nothing is split or grouped here."""
     a = ch.kraus
     rng = seeded_rng(0)
     h = _algebra_element(a, rng)
     z = rng.standard_normal((2, len(a)))
     k = np.tensordot(z[0] + 1j * z[1], a, axes=1)
-    bases = [s.basis for s in blocks]
-    components = []
-    for group in _components(bases, h, tol):
+    bases = [s.basis for s in dec.blocks]
+    for group in dec.components:
         copies = [bases[j] @ np.linalg.eigh(bases[j].conj().T @ h @ bases[j])[1] for j in group]
         rows = [v[:, 0].conj() @ k @ v for v in copies]
         phases = [np.exp(1j * np.angle(rows[0] * row.conj())) for row in rows]
-        components.append(np.stack([v * p for v, p in zip(copies, phases)], axis=1))
-    return components
+        yield np.stack([v * p for v, p in zip(copies, phases)], axis=1)
 
 
 def commutant_basis(ch: KrausChannel, tol: Tolerances = DEFAULT_TOL) -> CommutantBasis:
@@ -75,7 +74,7 @@ def commutant_basis(ch: KrausChannel, tol: Tolerances = DEFAULT_TOL) -> Commutan
     is ``I / sqrt(d) = sum u_j E_jj`` with ``u_j = sqrt(n_j / d)``."""
     d = ch.dim
     diagonal, offdiagonal = [], []
-    for w in _wedderburn(ch, iris_decompose(ch, tol).blocks, tol):
+    for w in _wedderburn(ch, iris_decompose(ch, tol)):
         m, n = w.shape[1:]
         for i in range(m):
             for j in range(i, m):
@@ -181,7 +180,7 @@ def classify_fixed_state(
     fixed-point set is taken one Wedderburn component of ``decomposition`` at
     a time (:func:`_wedderburn`), as ``W (sigma kron I_n) W^dagger`` with the
     copies W side by side and ``sigma_ab = tr(W_a^dagger rho W_b) / n``; no
-    second split is made.
+    second split or grouping is made.
     """
     r = as_matrix(rho)
     if r.shape != (ch.dim, ch.dim):
@@ -211,7 +210,7 @@ def classify_fixed_state(
         clamped = tuple(max(c, 0.0) for c in weights)
         return BlockMixture(weights=clamped, residual=residual)
     projection = np.zeros_like(r)
-    for w in _wedderburn(ch, decomposition.blocks, tol):
+    for w in _wedderburn(ch, decomposition):
         m, n = w.shape[1:]
         w = w.reshape(ch.dim, m * n)
         sigma = np.trace((w.conj().T @ r @ w).reshape(m, n, m, n), axis1=1, axis2=3) / n

@@ -6,8 +6,9 @@ commutators' ``d^2 x d^2`` Gram matrix in Hermitian coordinates, and the kernel
 is decided on the singular values of the commutators themselves, not on their
 squares. :func:`dense_decompose` splits along the eigenspaces of the
 commutant projection of a random Hermitian matrix, redrawn until the
-commutant compresses to the scalars on every eigenspace, and certifies the
-blocks as ``iris_decompose`` does.
+commutant compresses to the scalars on every eigenspace, certifies the
+blocks as ``iris_decompose`` does, and checks their Wedderburn components
+against the dense commutant's dimension.
 """
 
 from __future__ import annotations
@@ -17,7 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from krausblocks import KrausChannel
-from krausblocks.decomposition import IrisDecomposition, SplitDecision, _certified_blocks
+from krausblocks.decomposition import (
+    IrisDecomposition,
+    SplitDecision,
+    _algebra_element,
+    _certified_blocks,
+    _components,
+)
 from krausblocks.errors import ToleranceFailure
 from krausblocks.linalg import (
     DEFAULT_TOL,
@@ -220,13 +227,22 @@ def dense_decompose(
 ) -> IrisDecomposition:
     """The irreducible blocks split along the given (else solved) commutant
     (:func:`dense_split`) and certified as ``iris_decompose`` certifies them;
-    ``split.method`` is ``"dense"``."""
+    ``split.method`` is ``"dense"``. The blocks are grouped into Wedderburn
+    components by :func:`_components`, and ``sum_c m_c^2`` must equal the
+    dimension of the commutant solved here (AssertionError otherwise), so a
+    count compared against the oracle's is compared against the dense solve."""
     commutant = commutant or dense_commutant(ch, tol)
-    blocks = _certified_blocks(ch, dense_split(commutant, seeded_rng(seed), tol), tol)
+    rng = seeded_rng(seed)
+    blocks, _ = _certified_blocks(ch, dense_split(commutant, rng, tol), tol)
+    components = _components([s.basis for s in blocks], _algebra_element(ch.kraus, rng), tol)
+    count = sum(len(c) ** 2 for c in components)
+    if count != commutant.count:
+        raise AssertionError(
+            f"components give a commutant of dimension {count}, the dense solve {commutant.count}"
+        )
     return IrisDecomposition(
         ambient_dim=ch.dim,
         blocks=blocks,
-        irreducibility_certificates=(1,) * len(blocks),
-        commutant_count=commutant.count,
+        components=tuple(tuple(c) for c in components),
         split=SplitDecision("dense"),
     )

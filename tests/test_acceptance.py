@@ -193,10 +193,10 @@ class TestCriterion4:
             e = np.eye(d, dtype=complex)
             u = haar_unitary(d, rng)
             d1 = IrisDecomposition(
-                d, tuple(Subspace(d, e[:, k : k + 1]) for k in range(d)), (1,) * d
+                d, tuple(Subspace(d, e[:, k : k + 1]) for k in range(d)), (tuple(range(d)),)
             )
             d2 = IrisDecomposition(
-                d, tuple(Subspace(d, u[:, k : k + 1]) for k in range(d)), (1,) * d
+                d, tuple(Subspace(d, u[:, k : k + 1]) for k in range(d)), (tuple(range(d)),)
             )
             best = min(
                 _timed(lambda: match_decompositions(d1, d2)) for _ in range(5)

@@ -19,6 +19,7 @@ from krausblocks import (
     is_invariant_subspace,
     match_decompositions,
     offdiagonal_residual,
+    random_unital_channel,
     restrict,
     superoperator_distance,
     unitary_channel,
@@ -37,7 +38,7 @@ from krausblocks.linalg import DEFAULT_TOL, max_abs
 
 from tests import dense
 from tests.dense import DenseCommutant, dense_commutant, dense_decompose, dense_split
-from tests.test_golden import CASES as GOLDEN_CASES, NON_DEGENERATE
+from tests.test_golden import CASES as GOLDEN_CASES, NON_DEGENERATE, _isomorphic_copies
 from tests.util import (
     count_calls,
     coupled_blocks,
@@ -69,24 +70,28 @@ class TestSubspace:
     def test_decomposition_invariants(self):
         e1 = Subspace(2, np.array([[1.0], [0.0]], dtype=complex))
         with pytest.raises(Exception):
-            IrisDecomposition(2, (e1, e1), (1, 1))  # not orthogonal
+            IrisDecomposition(2, (e1, e1), ((0, 1),))  # not orthogonal
         with pytest.raises(Exception):
-            IrisDecomposition(2, (e1,), (1,))  # dims don't cover
+            IrisDecomposition(2, (e1,), ((0,),))  # dims don't cover
 
-    @pytest.mark.parametrize("certificates, error, message", [
-        ((1,), DimensionMismatch, "one certificate per block required"),
-        ((1, 2), ToleranceFailure, "every block must certify a commutant count of 1"),
-    ])
-    def test_decomposition_certificates(self, certificates, error, message):
-        e1, e2 = (Subspace(2, c[:, None]) for c in np.eye(2, dtype=complex))
-        with pytest.raises(error, match=message):
-            IrisDecomposition(2, (e1, e2), certificates)
+    @pytest.mark.parametrize("components, message", [
+        (((0, 1), (1, 2)), "every block exactly once"),  # overlapping
+        (((0,), (2,)), "every block exactly once"),  # block 1 left out
+        (((0, 1, 2), (3,)), "every block exactly once"),  # no block 3
+        (((0, 1), (2,), ()), "one dimension"),  # an empty component
+        (((0,), (1, 2)), "one dimension"),  # copies of dimensions 1 and 2
+    ], ids=["overlap", "missing", "extra", "empty", "unequal"])
+    def test_decomposition_components(self, components, message):
+        e = np.eye(4, dtype=complex)
+        blocks = (Subspace(4, e[:, :1]), Subspace(4, e[:, 1:2]), Subspace(4, e[:, 2:]))
+        with pytest.raises(DimensionMismatch, match=message):
+            IrisDecomposition(4, blocks, components)
 
     def test_decomposition_ambient_dims(self):
         e1 = Subspace(2, np.array([[1.0], [0.0]], dtype=complex))
         e3 = Subspace(3, np.array([[0.0], [0.0], [1.0]], dtype=complex))
         with pytest.raises(DimensionMismatch, match="same ambient space"):
-            IrisDecomposition(3, (e1, e3), (1, 1))
+            IrisDecomposition(3, (e1, e3), ((0,), (1,)))
 
 
 class TestInvariance:
@@ -156,7 +161,7 @@ class TestDecompose:
     def test_depolarizing_single_block(self, d):
         dec = iris_decompose(depolarizing_channel(d, 0.3), seed=1)
         assert dec.block_dims == (d,)
-        assert dec.irreducibility_certificates == (1,)
+        assert dec.components == ((0,),) and dec.commutant_count == 1
 
     def test_dephasing_splits_into_rays(self):
         dec = iris_decompose(dephasing_channel(2), seed=0)
@@ -242,6 +247,54 @@ class TestDecompose:
                 iris_decompose(ch)
         else:
             assert iris_decompose(ch).dimension_multiset() == dims
+
+
+class TestComponents:
+    """The Wedderburn components are grouped once, by iris_decompose."""
+
+    def test_identity_is_one_component(self):
+        dec = iris_decompose(identity_channel(3))
+        assert dec.components == ((0, 1, 2),) and dec.commutant_count == 9
+
+    def test_two_copies(self):
+        # the one component holds both copies; its projector is the whole space
+        projectors = []
+        for seed in range(8):
+            dec = iris_decompose(_isomorphic_copies(3, 2, seed), seed=seed)
+            assert dec.components == ((0, 1),) and dec.block_dims == (3, 3)
+            assert dec.commutant_count == 4
+            projectors.append(sum(dec.blocks[j].projector() for j in dec.components[0]))
+        for p in projectors:
+            assert max_abs(p - projectors[0]) <= 1e-10
+
+    def test_copies_beside_another_block(self):
+        # the copies' component projector does not depend on the seed
+        u = haar_unitary(7, np.random.default_rng(3))
+        ch = direct_sum(_isomorphic_copies(2, 2, 5), random_unital_channel(3, 3, seed=9), u)
+        projectors = []
+        for seed in range(8):
+            dec = iris_decompose(ch, seed=seed)
+            assert dec.components == ((0, 1), (2,)) and dec.commutant_count == 5
+            projectors.append(dec.blocks[0].projector() + dec.blocks[1].projector())
+        for p in projectors:
+            assert max_abs(p - projectors[0]) <= 1e-10
+
+    def test_distinct_blocks_are_singletons(self):
+        ch, _, _ = rotated_direct_sum((1, 2, 3), seed=21)
+        dec = iris_decompose(ch)
+        assert dec.components == ((0,), (1,), (2,)) and dec.commutant_count == 3
+
+    def test_fixed_points_do_not_regroup(self, monkeypatch):
+        calls = count_calls(monkeypatch, decomposition, "_components")
+        ch, _, _ = rotated_direct_sum((1, 2, 3), seed=21)
+        assert commutant_basis(ch).count == 3
+        assert commutant_basis(_isomorphic_copies(3, 2, 107)).count == 4
+        identity = identity_channel(3)
+        rho = random_density(3, np.random.default_rng(4))
+        result = classify_fixed_state(identity, rho, iris_decompose(identity))
+        assert isinstance(result, DegenerateFixedState)
+        assert max_abs(result.commutant_projection - rho) <= 1e-10
+        assert calls == []
 
 
 class ScriptedDraws:
@@ -389,9 +442,10 @@ class TestSpinSplit:
 
     def test_shared_eigenvalue_is_redrawn(self):
         rng = ScriptedCoefficients([self.scalar_draw])
-        bases, count, decision = _spin_split(self.ch.kraus, rng, DEFAULT_TOL)
+        bases, groups, decision = _spin_split(self.ch.kraus, rng, DEFAULT_TOL)
         assert rng.shapes.count(self.scalar_draw.shape) == 2
-        assert count == 3 and decision.method == "spin"
+        # three blocks, each the only copy of its component
+        assert groups == [[0], [1], [2]] and decision.method == "spin"
         for b, p in zip(sorted(bases, key=lambda b: b.shape[1]), self.projectors):
             assert max_abs(b @ b.conj().T - p) < 1e-9
 
@@ -476,12 +530,13 @@ SWEEP_EPS = (1e-5, 1e-6, 1e-7, 3e-8, 1e-8, 3e-9, 1e-9, 3e-10, 1e-10, 1e-12)
 
 
 def verdict(decompose, ch):
-    """The block multiset and commutant count, or None on ToleranceFailure."""
+    """The block multiset and the commutant count ``sum_c m_c^2`` read off the
+    components, or None on ToleranceFailure."""
     try:
         dec = decompose(ch)
     except ToleranceFailure:
         return None
-    return dec.dimension_multiset(), dec.commutant_count
+    return dec.dimension_multiset(), sum(len(c) ** 2 for c in dec.components)
 
 
 class TestRefinedSplit:
@@ -493,6 +548,7 @@ class TestRefinedSplit:
             commutant = dense_commutant(ch)
             want = verdict(lambda c: dense_decompose(c, commutant=commutant), ch)
             got = verdict(iris_decompose, ch)
+            assert want is None or want[1] == commutant.count
             if got != want:
                 # allowed only where the oracle's deciding singular value is
                 # within 10x of its cut
@@ -505,7 +561,10 @@ class TestRefinedSplit:
     def test_two_blocks_exactly(self, eps):
         for seed in range(10):
             ch = coupled_blocks(eps, seed)
-            assert verdict(iris_decompose, ch) == verdict(dense_decompose, ch), seed
+            commutant = dense_commutant(ch)
+            got = verdict(iris_decompose, ch)
+            assert got == verdict(lambda c: dense_decompose(c, commutant=commutant), ch), seed
+            assert got is None or got[1] == commutant.count, seed
 
     def test_no_dense_arrays(self, monkeypatch):
         near = coupled_blocks(1e-10, 0, dims=(2, 3, 4))
@@ -596,10 +655,10 @@ class TestMatch:
         e = np.eye(2, dtype=complex)
         h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
         d1 = IrisDecomposition(
-            2, (Subspace(2, e[:, :1]), Subspace(2, e[:, 1:])), (1, 1)
+            2, (Subspace(2, e[:, :1]), Subspace(2, e[:, 1:])), ((0, 1),)
         )
         d2 = IrisDecomposition(
-            2, (Subspace(2, h[:, :1]), Subspace(2, h[:, 1:])), (1, 1)
+            2, (Subspace(2, h[:, :1]), Subspace(2, h[:, 1:])), ((0, 1),)
         )
         m = match_decompositions(d1, d2)
         # cross overlaps are all 1/2, so the graph is one connected component
@@ -620,9 +679,9 @@ class TestMatch:
     def test_mismatch_detected(self):
         e = np.eye(2, dtype=complex)
         rays = IrisDecomposition(
-            2, (Subspace(2, e[:, :1]), Subspace(2, e[:, 1:])), (1, 1)
+            2, (Subspace(2, e[:, :1]), Subspace(2, e[:, 1:])), ((0, 1),)
         )
-        whole = IrisDecomposition(2, (Subspace(2, e),), (1,))
+        whole = IrisDecomposition(2, (Subspace(2, e),), ((0,),))
         with pytest.raises(MultisetMismatch):
             match_decompositions(rays, whole)
 

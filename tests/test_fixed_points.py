@@ -330,7 +330,7 @@ class TestClassify:
                 Subspace(2, np.array([[1.0], [0.0]], dtype=complex)),
                 Subspace(2, np.array([[0.0], [1.0]], dtype=complex)),
             ),
-            irreducibility_certificates=(1, 1),
+            components=((0, 1),),
         )
         v = np.array([1.0, 1.0]) / np.sqrt(2)
         result = classify_fixed_state(ch, np.outer(v, v), dec)

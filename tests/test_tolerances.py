@@ -98,8 +98,8 @@ def two_components(eps: float, tol) -> bool:
     delta = np.sqrt(eps)
     complement = np.array([[1.0], [-delta]], dtype=complex) / np.hypot(delta, 1.0)
     e = np.eye(2, dtype=complex)
-    d1 = IrisDecomposition(2, (Subspace(2, e[:, :1]), Subspace(2, e[:, 1:])), (1, 1))
-    d2 = IrisDecomposition(2, (Subspace(2, tilted(delta)), Subspace(2, complement)), (1, 1))
+    d1 = IrisDecomposition(2, (Subspace(2, e[:, :1]), Subspace(2, e[:, 1:])), ((0, 1),))
+    d2 = IrisDecomposition(2, (Subspace(2, tilted(delta)), Subspace(2, complement)), ((0, 1),))
     return len(match_decompositions(d1, d2, tol).components) == 2
 
 
@@ -165,7 +165,7 @@ ROUTES = [
                          NotOrthonormal, "max")),
     ("blocks-orthogonal", "residual", (decomposition,),
      lambda e, t: passes(lambda: IrisDecomposition(
-                             2, (Subspace(2, [[1], [0]]), Subspace(2, tilted(e))), (1, 1)),
+                             2, (Subspace(2, [[1], [0]]), Subspace(2, tilted(e))), ((0, 1),)),
                          NotOrthonormal, "max")),
     ("match-overlap", "residual", (), two_components),
     ("eigengap-redraw", "eigencluster", (), eigengap_redraw),
