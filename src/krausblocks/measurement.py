@@ -2,15 +2,14 @@
 
 A POVM element's statistics survive the channel for every input state exactly
 when the adjoint channel fixes the element, which in turn happens exactly when
-the element is a nonnegative combination of invariant-block projectors. For
-projective measurements this implies that the measurement channel commutes
-with the channel under test. With ``L_P = conj(P) kron P``, the commutator
-``[sum_k L_{P_k}, L_phi]`` is never formed from two d^2 x d^2 factors: it is
-``F^T G`` for two ``n x d^2`` factors, n = 2 sum_k rank(P_k)^2 from the
-projectors' ranges or n = 2 k K from the Kraus sets ``{P_k A_i}`` and
-``{A_i P_k}``, whichever is smaller. Its max entry costs O(n d^4) time and
-at most 16 MB of the product at once, against O(d^6) time and three d^2 x d^2
-arrays for the products of :func:`channels_commute`.
+the element is a nonnegative combination of invariant-block projectors: for a
+projective measurement, when the channel fixes every projector (d x d work),
+which implies that the measurement channel commutes with it. The commutator
+``[sum_k L_{P_k}, L_phi]``, ``L_P = conj(P) kron P``, is ``F^T G`` for two
+``n x d^2`` factors, n = 2 sum_k rank(P_k)^2 from the ranges or n = 2 k K from
+``{P_k A_i}`` and ``{A_i P_k}``, whichever is smaller: O(n d^4) time and at
+most 16 MB of product at once, against O(d^6) time and three d^2 x d^2 arrays
+for the products of :func:`channels_commute`.
 """
 
 from __future__ import annotations
@@ -125,30 +124,30 @@ def projection_intertwines(
 ) -> CommutationReport:
     """Check ``P phi(rho) P = phi(P rho P)`` for all rho, as superoperators.
 
-    Equivalent to the range of P being an invariant subspace of the channel.
-    ``residual = max |L_P L_phi - L_phi L_P|``, the distance between the
-    superoperators of ``{P A_i}`` and ``{A_i P}``, computed in
-    O(min(rank(P)^2, K) d^4) time for K Kraus operators without forming
-    either superoperator.
+    Equivalent to the range of P being invariant, which :func:`measurement_preserved`
+    decides in d x d work. ``residual = max |L_P L_phi - L_phi L_P|``, the distance
+    between the superoperators of ``{P A_i}`` and ``{A_i P}``, costs
+    O(min(rank(P)^2, K) d^4) for K Kraus operators without forming either.
     """
     p = _projector(as_matrix(pi), tol, NotAProjector, "matrix")
     if p.shape != (ch.dim, ch.dim):
         raise DimensionMismatch(f"projector is {p.shape}, channel dim is {ch.dim}")
-    return _intertwining(ch, p, tol)
-
-
-def _intertwining(ch: KrausChannel, p: np.ndarray, tol: Tolerances) -> CommutationReport:
-    """:func:`projection_intertwines` for a projector already checked."""
     residual = _commutator_residual(ch, [p])
     return CommutationReport(commute=residual <= tol.residual, residual=residual)
 
 
 def _measurement_commutes(
-    ch: KrausChannel, m: ProjectiveMeasurement, tol: Tolerances
+    ch: KrausChannel, m: ProjectiveMeasurement, tol: Tolerances, ranges=None
 ) -> CommutationReport:
     """``channels_commute(projective_channel(m), ch)`` without its d^2 x d^2 products."""
-    residual = _commutator_residual(ch, m.projectors)
+    residual = _commutator_residual(ch, m.projectors, ranges)
     return CommutationReport(commute=residual <= tol.residual, residual=residual)
+
+
+def _ranges_invariant(ch: KrausChannel, bases, tol: Tolerances) -> bool:
+    """Whether the channel fixes each range's projector, up to the first that it does not."""
+    return all(is_invariant_subspace(ch, Subspace(ch.dim, v), tol).invariant
+               for v in bases if v.size)  # the range {0} of a zero projector is invariant
 
 
 _PRODUCT_ENTRIES = 2**20  # entries of the commutator held at once: 16 MB
@@ -162,7 +161,13 @@ def _kron_columns(ops: np.ndarray, v: np.ndarray, ia: np.ndarray, ib: np.ndarray
     return (u[ia].conj() @ u[ib].transpose(0, 2, 1)).reshape(-1, d * d)
 
 
-def _commutator_residual(ch: KrausChannel, projectors) -> float:
+def _ranges(p: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Ranks ``r_k = rint(tr P_k)`` of stacked checked projectors, and bases of their ranges."""
+    ranks = np.rint(np.trace(p, axis1=1, axis2=2).real).astype(int)
+    return ranks, [v[:, len(v) - r :] for v, r in zip(np.linalg.eigh(p)[1], ranks)]
+
+
+def _commutator_residual(ch: KrausChannel, projectors, ranges=None) -> float:
     """``max |[sum_k L_{P_k}, L_phi]|`` for checked projectors, read off ``F^T G``
     for two ``n x d^2`` factors in O(n d^4) time, a block of rows at a time.
 
@@ -173,11 +178,9 @@ def _commutator_residual(ch: KrausChannel, projectors) -> float:
     which permutes its entries and so keeps the max. The form with fewer terms wins.
     """
     d, a, p = ch.dim, ch.kraus, np.stack(projectors)
-    ranks = np.rint(np.trace(p, axis1=1, axis2=2).real).astype(int)
+    ranks, bases = ranges or _ranges(p)
     if np.sum(ranks**2) < len(p) * ch.n_kraus:
-        # V_k: the eigenvectors of P_k's r_k largest eigenvalues, all near 1
-        keep = np.arange(d) >= d - ranks[:, None]
-        v = np.linalg.eigh(p)[1].transpose(1, 0, 2)[:, keep]
+        v = np.hstack(bases)
         block = np.repeat(np.arange(len(ranks)), ranks)
         ia, ib = np.nonzero(block[:, None] == block[None, :])
         w, z, y = (_kron_columns(ops, v, ia, ib)
@@ -327,26 +330,23 @@ def measurement_preserved(
     """Aggregate the per-element checks over a measurement.
 
     For projective measurements, three criteria are evaluated: all elements
-    preserved, every projector range invariant, and the measurement channel
-    commuting with the channel. The first two are equivalent, and invariance
-    implies commutation; a violation of either proven implication raises
-    ToleranceFailure. Commutation without invariance is genuinely possible
-    (the depolarizing family commutes with every unital channel) and is
-    reported as-is.
+    preserved, the channel fixing the projector onto each range (up to the first
+    that it does not) and the measurement channel commuting with it. The first two
+    are equivalent and imply the third; a violation raises ToleranceFailure. The
+    third alone is possible (depolarizing commutes with every unital channel).
     """
     if m.dim != ch.dim:
         raise DimensionMismatch(f"measurement dim {m.dim} != channel dim {ch.dim}")
     projective = isinstance(m, ProjectiveMeasurement)
-    reports = tuple(
-        _element_report(ch, e, tol) for e in (m.projectors if projective else m.elements)
-    )
+    reports = tuple(_element_report(ch, e, tol)
+                    for e in (m.projectors if projective else m.elements))
     all_preserved = all(r.preserved for r in reports)
 
     commute = ranges_invariant = None
     if projective:
-        commute = _measurement_commutes(ch, m, tol)
-        # the measurement checked its projectors under the same tol
-        ranges_invariant = all(_intertwining(ch, p, tol).commute for p in m.projectors)
+        ranges = _ranges(np.stack(m.projectors))
+        commute = _measurement_commutes(ch, m, tol, ranges)
+        ranges_invariant = _ranges_invariant(ch, ranges[1], tol)
         if all_preserved != ranges_invariant:
             raise ToleranceFailure(
                 "per-element preservation and projector-range invariance "

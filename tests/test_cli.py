@@ -527,6 +527,18 @@ class TestCheckMeasurement:
             assert e["preserved"] is True
             assert "terms" in e
 
+    def test_weak_depolarizing_preserved(self, tmp_path):
+        # its light Kraus operators couple each range at sqrt(p / 4) = 5e-6, yet
+        # the channel moves each projector by only p / 2
+        ch = depolarizing_channel(2, 1e-10)
+        cpath = write(tmp_path, "ch.json", dumps_report(channel_to_document(ch)))
+        m = computational_measurement(2)
+        mpath = write(tmp_path, "m.json", dumps_report(measurement_to_document(m)))
+        code, out, _ = run(["check-measurement", cpath, mpath])
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["all_preserved"] is True and rep["ranges_invariant"] is True
+
     def test_depolarizing_not_preserved(self, tmp_path, depolarizing_doc):
         m = computational_measurement(2)
         mpath = write(tmp_path, "m.json", dumps_report(measurement_to_document(m)))

@@ -41,7 +41,9 @@ from tests.util import (
     block_measurement,
     computational_measurement,
     count_calls,
+    coupled_blocks,
     random_density,
+    random_hermitian,
     random_subspace,
     rotated_direct_sum,
 )
@@ -190,7 +192,7 @@ def _check_against_dense(monkeypatch, ch, m, form: str, within: float):
     assert abs(commute.residual - dense.residual) <= within
     assert commute.commute == dense.commute
     for p in m.projectors:
-        one = measurement._intertwining(ch, p, DEFAULT_TOL)
+        one = projection_intertwines(ch, p)
         distance = superoperator_distance(KrausChannel(ch.dim, p @ ch.kraus),
                                           KrausChannel(ch.dim, ch.kraus @ p))
         assert abs(one.residual - distance) <= within
@@ -225,12 +227,129 @@ class TestFactoredCommutator:
                 patch.setattr(measurement, "_PRODUCT_ENTRIES", entries * ch.dim)
                 assert abs(measurement._commutator_residual(ch, m.projectors) - whole) <= 1e-15
 
+    def test_one_commutator_per_measurement(self, monkeypatch):
+        # each range is decided by the channel fixing its projector, not by a
+        # superoperator commutator of its own
+        calls = count_calls(monkeypatch, measurement, "_commutator_residual")
+        report = measurement_preserved(dephasing_channel(5), computational_measurement(5))
+        assert report.ranges_invariant and len(calls) == 1
+
+    @pytest.mark.parametrize("case", FACTORED, ids=str)
+    def test_ranges_match_projection_intertwines(self, case):
+        # {I} has rank d and the zero projector rank 0: both ranges are invariant
+        ch, m = FACTORED[case][0]()
+        report = measurement_preserved(ch, m)
+        assert report.ranges_invariant == all(
+            projection_intertwines(ch, p).commute for p in m.projectors)
+
     def test_no_superoperator_matrix(self, monkeypatch):
         cases = [make() for make, _ in FACTORED.values()]
         supers = count_calls(monkeypatch, KrausChannel, "superoperator_matrix")
         for ch, m in cases:
             measurement_preserved(ch, m)
         assert len(supers) == 0
+
+
+def _outcome(ch, m) -> str:
+    """``"P"`` preserved, ``"N"`` not preserved or ``"T"`` ToleranceFailure; a
+    report's flags must agree with each other."""
+    try:
+        r = measurement_preserved(ch, m)
+    except ToleranceFailure:
+        return "T"
+    assert r.ranges_invariant == r.all_preserved == all(e.preserved for e in r.elements)
+    assert r.commute.commute or not r.ranges_invariant
+    return "P" if r.all_preserved else "N"
+
+
+def _verdicts(channels, m) -> str:
+    return "".join(_outcome(ch, m) for ch in channels)
+
+
+def _expected(n: int, preserved: int, failures: int = 0) -> str:
+    return "P" * preserved + "T" * failures + "N" * (n - preserved - failures)
+
+
+def _scaled(m: ProjectiveMeasurement, scale: float) -> ProjectiveMeasurement:
+    return ProjectiveMeasurement(m.dim, tuple(scale * p for p in m.projectors))
+
+
+def _blocks(dims) -> ProjectiveMeasurement:
+    d, edges = sum(dims), np.cumsum((0,) + tuple(dims))
+    return ProjectiveMeasurement(d, tuple(
+        np.diag((np.arange(d) >= lo) & (np.arange(d) < hi)).astype(complex)
+        for lo, hi in zip(edges[:-1], edges[1:])))
+
+
+def _mixed_unitary(q: float, theta: float, seed: int, dims) -> KrausChannel:
+    """``(1 - q) id + q U . U^dagger`` with ``U = exp(i theta H)`` for a random
+    Hermitian H whose entries lie only between the blocks of ``dims``."""
+    d, block = sum(dims), np.repeat(np.arange(len(dims)), dims)
+    h = random_hermitian(d, np.random.default_rng(seed)) * (block[:, None] != block[None, :])
+    w, v = np.linalg.eigh(h)
+    u = (v * np.exp(1j * theta * w)) @ v.conj().T
+    return KrausChannel.from_kraus([np.sqrt(1 - q) * np.eye(d), np.sqrt(q) * u])
+
+
+# (preserved, ToleranceFailure) counts of the 21 eps of each coupled_blocks seed 0-5
+COUPLED_RANGES = {
+    (2, 3): [(13, 1), (12, 1), (11, 1), (11, 1), (12, 1), (12, 1)],
+    (1, 2, 3): [(12, 1), (12, 0), (11, 1), (11, 2), (12, 1), (11, 2)],
+    (3, 4): [(12, 0), (12, 1), (12, 1), (12, 1), (12, 0), (12, 1)],
+}
+# preserved counts of the 37 theta of _mixed_unitary seeds 0-2 at q = 1e-6, 1e-3, 0.5
+MIXED_RANGES = {
+    (2, 3): [(33, 21, 10), (32, 20, 9), (31, 19, 9)],
+    (1, 2, 3): [(32, 20, 9), (32, 20, 9), (31, 19, 9)],
+}
+
+
+class TestCoupledRanges:
+    """Verdicts across tol.residual on channels whose ranges are weakly coupled.
+
+    Every preserved or not-preserved verdict is the one the superoperator range
+    residual gave. Where that residual and the element residual fell on either
+    side of tol.residual it raised ToleranceFailure: once among the coupled
+    blocks ((3, 4), seed 0) and at one or two p of the depolarizing channel at
+    d = 3 and 5. The projector-fixing residual agrees with the element residual
+    there."""
+
+    @pytest.mark.parametrize("dims", COUPLED_RANGES, ids=str)
+    def test_eps_sweep(self, dims):
+        # equal-weight Kraus sets, measured with the uncoupled block projectors.
+        # Projectors idempotent only to about 1e-11 give the verdicts of exact
+        # ones, for the blocks and for the computational basis.
+        d = sum(dims)
+        for m in (_blocks(dims), computational_measurement(d)):
+            p = _scaled(m, 1 + 1e-11).projectors[0]
+            assert max_abs(p @ p - p) > 1e-12
+        for seed, counts in enumerate(COUPLED_RANGES[dims]):
+            channels = [coupled_blocks(eps, seed, dims) for eps in np.logspace(-12, -7, 21)]
+            assert _verdicts(channels, _blocks(dims)) == _expected(21, *counts), seed
+            for m in (_blocks(dims), computational_measurement(d)):
+                assert _verdicts(channels, _scaled(m, 1 + 1e-11)) == _verdicts(channels, m)
+
+    @pytest.mark.parametrize("d, preserved", [(2, 22), (3, 21), (5, 21)])
+    def test_depolarizing_sweep(self, d, preserved):
+        # a heavy identity Kraus operator and d^2 - 1 light ones of weight p / d^2
+        channels = [depolarizing_channel(d, p) for p in np.logspace(-14, -6, 33)]
+        for m in (computational_measurement(d), _blocks((1, d - 1))):
+            assert _verdicts(channels, m) == _expected(33, preserved)
+
+    def test_weak_depolarizing(self):
+        # a light Kraus operator that couples a range at sqrt(p / 4) = 5e-6
+        # leaves the range invariant within tol.residual, as its statistics are
+        r = measurement_preserved(depolarizing_channel(2, 1e-10), computational_measurement(2))
+        assert r.all_preserved and r.ranges_invariant and r.commute.commute
+
+    @pytest.mark.parametrize("dims", MIXED_RANGES, ids=str)
+    def test_mixed_unitary_sweep(self, dims):
+        # two Kraus operators of weights 1 - q and q; the light one couples the blocks
+        for seed, counts in enumerate(MIXED_RANGES[dims]):
+            for q, preserved in zip((1e-6, 1e-3, 0.5), counts):
+                channels = [_mixed_unitary(q, t, seed, dims) for t in np.logspace(-11, -2, 37)]
+                for m in (_blocks(dims), computational_measurement(sum(dims))):
+                    assert _verdicts(channels, m) == _expected(37, preserved), (seed, q)
 
 
 class TestStatisticsPreserved:
@@ -448,7 +567,7 @@ INCONSISTENT = {
         _report(InvarianceReport, True),
         "element is not preserved yet every eigenspace passed the invariance check"),
     "preservation and range invariance disagree": (
-        dephasing_channel, "_intertwining", _report(CommutationReport, False),
+        dephasing_channel, "_ranges_invariant", lambda *args: False,
         "per-element preservation and projector-range invariance disagree"),
     "invariant ranges, channels do not commute": (
         dephasing_channel, "_measurement_commutes", _report(CommutationReport, False),
