@@ -1,5 +1,6 @@
 """Unital-channel data model: validation, application, adjoint, superoperator
-form, Kraus remixing, direct sums, and standard channel generators.
+form, Kraus remixing, direct sums, and standard channel generators, whose
+Weyl operators ``X^a Z^b`` are written entry by entry (:func:`_weyl`).
 
 Channels are immutable after construction. The superoperator convention is
 column-stacking: ``vec(A s B) = (B^T kron A) vec(s)``, so a Kraus channel has
@@ -180,16 +181,14 @@ def direct_sum(
     return KrausChannel.from_kraus(ops, tol)
 
 
-def _shift(d: int) -> np.ndarray:
-    x = np.zeros((d, d), dtype=complex)
-    for j in range(d):
-        x[(j + 1) % d, j] = 1.0
-    return x
-
-
-def _clock(d: int) -> np.ndarray:
-    omega = np.exp(2j * np.pi / d)
-    return np.diag(omega ** np.arange(d))
+def _weyl(dim: int, shifts: int) -> np.ndarray:
+    """The Weyl operators ``X^a Z^b`` for ``a < shifts`` and ``b < dim``, a-major:
+    entry ``omega^(b j)`` at row ``(j + a) mod dim``, column j, with
+    ``omega = exp(2 pi i / dim)``."""
+    a, b, j = np.ogrid[:shifts, :dim, :dim]
+    ops = np.zeros((shifts, dim, dim, dim), dtype=complex)
+    ops[a, b, (j + a) % dim, j] = np.exp(2j * np.pi * (b * j % dim) / dim)
+    return ops.reshape(-1, dim, dim)
 
 
 def identity_channel(dim: int) -> KrausChannel:
@@ -209,21 +208,16 @@ def unitary_channel(u, tol: Tolerances = DEFAULT_TOL) -> KrausChannel:
 def depolarizing_channel(dim: int, p: float) -> KrausChannel:
     """The map ``sigma -> (1-p) sigma + p tr(sigma) I / dim``.
 
-    Realized with the shift/clock operator family ``X^a Z^b``: the uniform
-    mixture of all ``dim^2`` of them is the completely depolarizing map, so
-    weighting the identity term by ``1 - p + p/dim^2`` and the rest by
-    ``p/dim^2`` reproduces the map exactly for every ``dim``.
+    Realized with the ``dim^2`` Weyl operators: their uniform mixture is the
+    completely depolarizing map, so weighting the identity by ``1 - p + p/dim^2``
+    and the rest by ``p/dim^2`` reproduces the map exactly for every ``dim``.
     """
     require_at_least("dim", dim, 1)
     if not 0 < p <= 1:
         raise InvalidParameter(f"depolarizing strength must satisfy 0 < p <= 1, got {p}")
-    x = _shift(dim)
-    z = _clock(dim)
-    ops = []
-    for a in range(dim):
-        for b in range(dim):
-            w = 1 - p + p / dim**2 if a == 0 and b == 0 else p / dim**2
-            ops.append(np.sqrt(w) * np.linalg.matrix_power(x, a) @ np.linalg.matrix_power(z, b))
+    ops = _weyl(dim, dim)
+    ops[0] *= np.sqrt(1 - p + p / dim**2)
+    ops[1:] *= np.sqrt(p / dim**2)
     return KrausChannel.from_kraus(ops)
 
 
@@ -233,9 +227,7 @@ def dephasing_channel(dim: int) -> KrausChannel:
     For ``dim = 2`` this is the familiar pair ``{I, Z} / sqrt(2)``.
     """
     require_at_least("dim", dim, 1)
-    z = _clock(dim)
-    ops = [np.linalg.matrix_power(z, a) / np.sqrt(dim) for a in range(dim)]
-    return KrausChannel.from_kraus(ops)
+    return KrausChannel.from_kraus(_weyl(dim, 1) / np.sqrt(dim))
 
 
 def random_unital_channel(dim: int, n_unitaries: int, seed: int) -> KrausChannel:

@@ -289,7 +289,7 @@ def _spin_blocks(
     d = a.shape[1]
     frame = np.zeros((d, d), dtype=complex)
     n, bases, groups, closure, gap = 0, [], [], np.inf, np.inf
-    w, v = hermitian_eig(h, tol)
+    w, v = np.linalg.eigh(h)  # X + X^dagger scaled by a real number: Hermitian to the bit
     for idx in cluster_eigenvalues(w, tol.eigencluster):
         first = len(bases)
         while n < d:

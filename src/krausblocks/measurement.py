@@ -162,9 +162,10 @@ def _kron_columns(ops: np.ndarray, v: np.ndarray, ia: np.ndarray, ib: np.ndarray
 
 
 def _ranges(p: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Ranks ``r_k = rint(tr P_k)`` of stacked checked projectors, and bases of their ranges."""
-    ranks = np.rint(np.trace(p, axis1=1, axis2=2).real).astype(int)
-    return ranks, [v[:, len(v) - r :] for v, r in zip(np.linalg.eigh(p)[1], ranks)]
+    """Ranks of stacked checked projectors (eigenvalues that round to 1) and range bases."""
+    w, v = np.linalg.eigh(p)
+    ranks = np.count_nonzero(np.rint(w) == 1, axis=1)
+    return ranks, [vk[:, len(vk) - r :] for vk, r in zip(v, ranks)]
 
 
 def _commutator_residual(ch: KrausChannel, projectors, ranges=None) -> float:
@@ -259,14 +260,16 @@ class ElementReport:
     structure: StructuralDecomposition | StructuralFailure
 
 
-def _element_report(ch: KrausChannel, e: np.ndarray, tol: Tolerances) -> ElementReport:
-    """Decide the preservation of an element E already checked Hermitian, and
-    give the spectral form of its Hermitian part."""
-    m = (e + e.conj().T) / 2
+def _element_report(ch: KrausChannel, e, tol: Tolerances, projective=False) -> ElementReport:
+    """Decide the preservation of an element E already checked Hermitian, and give
+    its Hermitian part's eigenspaces, descending: eigenvalues grouped at
+    ``tol.eigencluster``, or for a checked projector rounded to 0 and 1, so that
+    its eigenspaces are its range and its kernel (:func:`_ranges`)."""
+    m = (e + e.conj().T) / 2  # Hermitian to the bit
     residual = max_abs(ch.adjoint().apply(m) - m)
     preserved = residual <= tol.residual
-    w, v = hermitian_eig(m, tol)
-    clusters = cluster_eigenvalues(w, tol.eigencluster)
+    w, v = np.linalg.eigh(m)
+    clusters = cluster_eigenvalues(np.rint(w) if projective else w, tol.eigencluster)
 
     terms = []
     for idx in reversed(clusters):  # descending eigenvalue
@@ -338,7 +341,7 @@ def measurement_preserved(
     if m.dim != ch.dim:
         raise DimensionMismatch(f"measurement dim {m.dim} != channel dim {ch.dim}")
     projective = isinstance(m, ProjectiveMeasurement)
-    reports = tuple(_element_report(ch, e, tol)
+    reports = tuple(_element_report(ch, e, tol, projective)
                     for e in (m.projectors if projective else m.elements))
     all_preserved = all(r.preserved for r in reports)
 

@@ -276,6 +276,20 @@ class TestStandardChannels:
                 expected = (1 - p) * e + p * np.trace(e) * np.eye(d) / d
                 assert max_abs(ch.apply(e) - expected) <= 1e-12
 
+    @pytest.mark.parametrize("d", range(1, 10))
+    def test_weyl_operators_match_matrix_powers(self, d):
+        # the closed-form X^a Z^b against products of the shift and clock matrices
+        x = np.roll(np.eye(d, dtype=complex), 1, axis=0)
+        z = np.diag(np.exp(2j * np.pi / d) ** np.arange(d))
+        weyl = np.array([np.linalg.matrix_power(x, a) @ np.linalg.matrix_power(z, b)
+                         for a in range(d) for b in range(d)])
+        for p in (1e-3, 0.5, 1.0):
+            w = np.full(d * d, p / d**2)
+            w[0] = 1 - p + p / d**2
+            expected = np.sqrt(w)[:, None, None] * weyl
+            assert max_abs(depolarizing_channel(d, p).kraus - expected) <= 1e-14
+        assert max_abs(dephasing_channel(d).kraus - weyl[:d] / np.sqrt(d)) <= 1e-14
+
     def test_unitary_kind(self):
         ch = unitary_channel(X)
         assert ch.n_kraus == 1

@@ -539,6 +539,25 @@ class TestCheckMeasurement:
         rep = json.loads(out)
         assert rep["all_preserved"] is True and rep["ranges_invariant"] is True
 
+    def test_loose_projector_is_its_range_and_kernel(self, tmp_path):
+        # P = diag(1, 1 - 3e-6, 0) is a projector within --tol-residual 1e-5: its
+        # eigenspaces are its range span(e0, e1), invariant under the rotation in
+        # that plane, and its kernel, not three clusters at tol.eigencluster
+        u = np.eye(3, dtype=complex)
+        u[:2, :2] = [[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]]
+        upath = write(tmp_path, "u.json", dumps_report(operator_to_document(u)))
+        code, doc, _ = run(["gen", "--kind", "unitary", "--dim", "3", "--unitary", upath])
+        cpath = write(tmp_path, "ch.json", doc)
+        p = np.diag([1, 1 - 3e-6, 0]).astype(complex)
+        m = {"schema_version": "1", "dim": 3, "type": "projective",
+             "elements": [matrix_to_wire(p), matrix_to_wire(np.eye(3) - p)]}
+        mpath = write(tmp_path, "m.json", json.dumps(m))
+        code, out, _ = run(["check-measurement", cpath, mpath, "--tol-residual", "1e-5"])
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["all_preserved"] is True and rep["ranges_invariant"] is True
+        assert [[t["dim"] for t in e["terms"]] for e in rep["elements"]] == [[2, 1], [1, 2]]
+
     def test_depolarizing_not_preserved(self, tmp_path, depolarizing_doc):
         m = computational_measurement(2)
         mpath = write(tmp_path, "m.json", dumps_report(measurement_to_document(m)))
@@ -830,9 +849,13 @@ class TestDimensionMismatch:
 
 
 class TestReportFormat:
-    def test_round_trip_stable(self, tmp_path, depolarizing_doc):
+    def test_round_trip_stable(self, tmp_path):
         # -0.0 entries and whole-number floats print so that they read back
         # as the same floats, and re-emitting a report reproduces its bytes
+        kraus = np.array(depolarizing_channel(2, 0.5).kraus)
+        kraus[1, 0, 1] = -0.0  # an off-diagonal zero of Z / 2, signed
+        depolarizing_doc = write(tmp_path, "dep.json", dumps_report(
+            channel_to_document(channel.KrausChannel(2, kraus))))
         assert "-0.0," in open(depolarizing_doc).read()
         mpath = write(tmp_path, "m.json", dumps_report(measurement_to_document(
             computational_measurement(2))))

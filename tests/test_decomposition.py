@@ -584,6 +584,29 @@ class TestRefinedSplit:
         with pytest.raises(ToleranceFailure):
             iris_decompose(KrausChannel(1, np.array([[[1.0 + 1e-6]]])))
 
+    @pytest.mark.parametrize("d", [3, 8])
+    def test_leak_is_a_tolerance_failure(self, d):
+        # a non-unital map from the bare constructor is rejected only by the
+        # invariance check of its one block, the whole space
+        ch = KrausChannel(d, random_unital_channel(d, 3, 0).kraus * (1 + 1e-6))
+        with pytest.raises(ToleranceFailure, match="residual=2.000e-06"):
+            iris_decompose(ch)
+
+    @pytest.mark.parametrize("p", [1e-17, 3.2e-17, 1e-16])
+    def test_near_identity_blocks_are_the_oracle_or_fail(self, p):
+        # the rays of the near-identity channel move their projectors by only
+        # p / 2, yet the off-diagonal gate keeps them from being returned as
+        # blocks: the dense oracle finds one block here
+        ch = depolarizing_channel(2, p)
+        want = dense_decompose(ch)
+        try:
+            got = iris_decompose(ch)
+        except ToleranceFailure:
+            return
+        assert got.block_dims == want.block_dims
+        assert all(max_abs(a.projector() - b.projector()) <= 1e-10
+                   for a, b in zip(got.blocks, want.blocks))
+
     def test_degenerate_state_at_d64(self, monkeypatch):
         # the identity fixes every state: its projection is the state
         ch = identity_channel(64)

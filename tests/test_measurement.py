@@ -35,7 +35,7 @@ from krausblocks.errors import (
     ToleranceFailure,
 )
 from krausblocks.measurement import CommutationReport
-from krausblocks.linalg import DEFAULT_TOL, max_abs
+from krausblocks.linalg import DEFAULT_TOL, Tolerances, max_abs
 
 from tests.util import (
     block_measurement,
@@ -335,6 +335,20 @@ class TestCoupledRanges:
         channels = [depolarizing_channel(d, p) for p in np.logspace(-14, -6, 33)]
         for m in (computational_measurement(d), _blocks((1, d - 1))):
             assert _verdicts(channels, m) == _expected(33, preserved)
+
+    def test_loose_projector_is_its_range_and_kernel(self):
+        # eigenvalues 1 and 1 - 3e-6 are two clusters at tol.eigencluster, yet
+        # one range of a projector checked at tol.residual = 1e-5
+        tol = Tolerances(residual=1e-5)
+        u = np.eye(3, dtype=complex)
+        u[:2, :2] = [[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]]
+        p = np.diag([1, 1 - 3e-6, 0]).astype(complex)
+        m = ProjectiveMeasurement(3, (p, np.eye(3) - p), tol)
+        r = measurement_preserved(unitary_channel(u), m, tol)
+        assert r.all_preserved and r.ranges_invariant and r.commute.commute
+        ranges = [e.structure.terms[0].subspace.projector() for e in r.elements]
+        assert max_abs(ranges[0] - np.diag([1, 1, 0])) <= 1e-12
+        assert max_abs(ranges[1] - np.diag([0, 0, 1])) <= 1e-12
 
     def test_weak_depolarizing(self):
         # a light Kraus operator that couples a range at sqrt(p / 4) = 5e-6
