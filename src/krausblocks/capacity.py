@@ -13,6 +13,9 @@ batch: their vectors or states are stacked, each step evaluates every restart
 still running with one batched ``eigh``/``matmul`` (``KrausChannel.apply`` and
 ``exchange_matrix`` take a leading batch axis), and each restart keeps its
 own step size and stopping rule, so it takes the path it would take alone.
+A pure input x has the output ``M M^dagger``, ``M = [A_1 x ... A_k x]``; by
+``f(M M^dagger) M = M f(M^dagger M)`` the descent reads values and gradients off
+the Kraus images and the smaller Gram matrix, ``M^dagger M`` or ``M M^dagger``.
 The environment side of the mutual information uses the exchange matrix
 ``W_ij = tr(A_i rho A_j^dagger)``, whose nonzero spectrum matches the joint
 output of the channel applied to half of a purification.
@@ -137,25 +140,36 @@ def coherent_information_value(ch: KrausChannel, rho) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _output_renyi(
+def _kraus_images(
     ch: KrausChannel, x: np.ndarray, alpha: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Output states and their Renyi entropies for the pure inputs in the rows of ``x``."""
-    out = _herm(ch.apply(x[:, :, None] * x[:, None, :].conj()))
-    return out, _renyi_bits(np.linalg.eigvalsh(out), alpha)
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The Kraus images ``Y = M^T`` (rows ``A_i x``) of the pure inputs in the rows
+    of ``x``, the eigenpairs of the smaller Gram matrix, ``M^dagger M`` (k x k) or
+    the output ``M M^dagger`` (d x d), and the output Renyi entropies."""
+    k, d = ch.n_kraus, ch.dim
+    # one product per restart: a GEMM over all rows rounds by its row count,
+    # and a restart must end bit for bit where it ends alone
+    y = (ch.kraus.reshape(k * d, d) @ x[:, :, None]).reshape(len(x), k, d)
+    w, v = np.linalg.eigh(y.conj() @ y.swapaxes(1, 2) if k < d else y.swapaxes(1, 2) @ y.conj())
+    return y, w, v, _renyi_bits(w, alpha)
 
 
-def _entropy_gradient_matrix(rho: np.ndarray, alpha: float) -> np.ndarray:
-    """d S_alpha / d rho for each state of a stack, as Hermitian matrices,
-    eigenvalues floored for logs."""
-    w, v = np.linalg.eigh(rho)
+def _sphere_gradient(
+    ch: KrausChannel, y: np.ndarray, w: np.ndarray, v: np.ndarray, alpha: float
+) -> np.ndarray:
+    """``2 sum_i A_i^dagger G A_i x`` for ``G = dS_alpha/drho`` at each output,
+    from the Kraus images and their Gram eigenpairs (eigenvalues floored for
+    logs): the rows ``G A_i x`` of ``(G M)^T`` are ``g(M^dagger M)^T Y`` when
+    k < d, as ``G M = M g(M^dagger M)``, else ``Y G^T``."""
     lam = np.clip(w, _EIG_FLOOR, None)
     if alpha == 1:
         g = -(np.log2(lam) + 1.0 / _LN2)
     else:
         t = np.sum(lam**alpha, axis=-1, keepdims=True)
         g = (alpha / ((1.0 - alpha) * t * _LN2)) * lam ** (alpha - 1.0)
-    return (v * g[:, None, :]) @ _dag(v)
+    gt = (v.conj() * g[:, None, :]) @ v.swapaxes(1, 2)  # g(Gram)^T
+    gy = gt @ y if ch.n_kraus < ch.dim else y @ gt
+    return 2.0 * (gy.reshape(len(y), 1, -1) @ ch.kraus.conj().reshape(-1, ch.dim))[:, 0]
 
 
 def _sphere_descent(
@@ -166,12 +180,13 @@ def _sphere_descent(
     All restarts advance together, one batched evaluation per step, but each
     keeps its own step size, Armijo line search and stopping rule, and leaves
     the batch when it stops, so its path is the one it would take alone.
+    Values and gradients come from the Kraus images and the smaller of the k x k
+    and d x d Gram matrices, by ``f(M M^dagger) M = M f(M^dagger M)``.
     Returns each restart's final value, point and number of accepted steps.
     """
-    adjoint = ch.adjoint()
     n = len(x0)
     x = x0 / np.linalg.norm(x0, axis=1, keepdims=True)
-    out, f = _output_renyi(ch, x, alpha)
+    y, w, v, f = _kraus_images(ch, x, alpha)
     eta = np.full(n, 0.2)
     stall = np.zeros(n, dtype=int)
     steps = np.zeros(n, dtype=int)
@@ -181,8 +196,7 @@ def _sphere_descent(
         if live.size == 0:
             break
         xl = x[live]
-        m = adjoint.apply(_entropy_gradient_matrix(out[live], alpha))
-        grad = 2.0 * (m @ xl[:, :, None])[:, :, 0]
+        grad = _sphere_gradient(ch, y[live], w[live], v[live], alpha)
         # project onto the tangent space
         grad = grad - np.real(np.sum(xl.conj() * grad, axis=1))[:, None] * xl
         gn = np.linalg.norm(grad, axis=1)
@@ -197,10 +211,10 @@ def _sphere_descent(
             i = live[s]
             xn = xl[s] - eta[i][:, None] * grad[s]
             xn = xn / np.linalg.norm(xn, axis=1, keepdims=True)
-            on, fn = _output_renyi(ch, xn, alpha)
+            yn, wn, vn, fn = _kraus_images(ch, xn, alpha)
             ok = fn < f[i] - 1e-4 * eta[i] * gn[s] * gn[s]
             a, r = i[ok], i[~ok]
-            x[a], out[a], f[a] = xn[ok], on[ok], fn[ok]
+            x[a], y[a], w[a], v[a], f[a] = xn[ok], yn[ok], wn[ok], vn[ok], fn[ok]
             eta[a] = np.minimum(eta[a] * 1.5, 1.0)
             eta[r] *= 0.5
             moved[s[ok]] = True

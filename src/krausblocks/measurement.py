@@ -150,15 +150,20 @@ def _ranges_invariant(ch: KrausChannel, bases, tol: Tolerances) -> bool:
                for v in bases if v.size)  # the range {0} of a zero projector is invariant
 
 
-_PRODUCT_ENTRIES = 2**20  # entries of the commutator held at once: 16 MB
+_PRODUCT_ENTRIES = 2**20  # entries of a gather or of the commutator held at once: 16 MB
 
 
 def _kron_columns(ops: np.ndarray, v: np.ndarray, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
     """Columns ``(a, b)`` of ``sum_i conj(B_i V) kron B_i V`` for a stack of ``d x d``
-    operators B_i, one row of length d^2 per pair."""
+    operators B_i, one row of length d^2 per pair, gathered a block of pairs at a time."""
     d = v.shape[0]
     u = (ops.reshape(-1, d) @ v).reshape(len(ops), d, -1).transpose(2, 1, 0)
-    return (u[ia].conj() @ u[ib].transpose(0, 2, 1)).reshape(-1, d * d)
+    out = np.empty((len(ia), d * d), dtype=u.dtype)
+    step = max(1, _PRODUCT_ENTRIES // (d * len(ops)))
+    for s in range(0, len(ia), step):
+        a, b = u[ia[s : s + step]], u[ib[s : s + step]]
+        out[s : s + step] = (a.conj() @ b.transpose(0, 2, 1)).reshape(-1, d * d)
+    return out
 
 
 def _ranges(p: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -27,10 +29,24 @@ from krausblocks.errors import (
     NotADensityMatrix,
 )
 
-from krausblocks.capacity import _ascent_parts, _sphere_descent, _state_ascent
+from krausblocks.capacity import (
+    _EIG_FLOOR,
+    _LN2,
+    _ascent_parts,
+    _renyi_bits,
+    _sphere_descent,
+    _state_ascent,
+)
+from krausblocks.channel import KrausChannel
 from krausblocks.linalg import DEFAULT_TOL
 
-from tests.util import random_density, random_hermitian, random_unit_vector, rotated_direct_sum
+from tests.util import (
+    count_calls,
+    random_density,
+    random_hermitian,
+    random_unit_vector,
+    rotated_direct_sum,
+)
 
 
 class TestRenyiEntropy:
@@ -140,6 +156,122 @@ class TestMinOutputRenyi:
         assert q.alpha == 2.0
         assert q.achieved_argument is not None
         assert 0.0 <= q.value <= np.log2(2)
+
+
+def _dense_sphere_descent(ch, alpha, x0, max_iters=400):
+    """The sphere descent on d x d output states: ``apply`` on x x^dagger for
+    each value and ``adjoint().apply`` of dS/drho for each gradient, with the
+    same step sizes, Armijo rule, stall stop and batch mask."""
+
+    def evaluate(x):
+        out = ch.apply(x[:, :, None] * x[:, None, :].conj())
+        out = (out + out.conj().swapaxes(1, 2)) / 2
+        return out, _renyi_bits(np.linalg.eigvalsh(out), alpha)
+
+    def gradient_matrix(rho):
+        w, v = np.linalg.eigh(rho)
+        lam = np.clip(w, _EIG_FLOOR, None)
+        if alpha == 1:
+            g = -(np.log2(lam) + 1.0 / _LN2)
+        else:
+            t = np.sum(lam**alpha, axis=-1, keepdims=True)
+            g = (alpha / ((1.0 - alpha) * t * _LN2)) * lam ** (alpha - 1.0)
+        return (v * g[:, None, :]) @ v.conj().swapaxes(1, 2)
+
+    adjoint = ch.adjoint()
+    n = len(x0)
+    x = x0 / np.linalg.norm(x0, axis=1, keepdims=True)
+    out, f = evaluate(x)
+    eta, stall = np.full(n, 0.2), np.zeros(n, dtype=int)
+    steps, active = np.zeros(n, dtype=int), np.ones(n, dtype=bool)
+    for _ in range(max_iters):
+        live = np.flatnonzero(active)
+        if live.size == 0:
+            break
+        xl = x[live]
+        grad = 2.0 * (adjoint.apply(gradient_matrix(out[live])) @ xl[:, :, None])[:, :, 0]
+        grad = grad - np.real(np.sum(xl.conj() * grad, axis=1))[:, None] * xl
+        gn = np.linalg.norm(grad, axis=1)
+        done = gn < 1e-10
+        active[live[done]] = False
+        live, xl, grad, gn = live[~done], xl[~done], grad[~done], gn[~done]
+        f_prev = f[live]
+        moved = np.zeros(live.size, dtype=bool)
+        search = eta[live] > 1e-14
+        while search.any():
+            s = np.flatnonzero(search)
+            i = live[s]
+            xn = xl[s] - eta[i][:, None] * grad[s]
+            xn = xn / np.linalg.norm(xn, axis=1, keepdims=True)
+            on, fn = evaluate(xn)
+            ok = fn < f[i] - 1e-4 * eta[i] * gn[s] * gn[s]
+            a, r = i[ok], i[~ok]
+            x[a], out[a], f[a] = xn[ok], on[ok], fn[ok]
+            eta[a] = np.minimum(eta[a] * 1.5, 1.0)
+            eta[r] *= 0.5
+            moved[s[ok]] = True
+            search[s] = ~ok & (eta[i] > 1e-14)
+        active[live[~moved]] = False
+        live, f_prev = live[moved], f_prev[moved]
+        steps[live] += 1
+        stall[live] = np.where(f_prev - f[live] < 1e-10, stall[live] + 1, 0)
+        active[live[stall[live] >= 2]] = False
+    return f, x, steps
+
+
+class TestKrausImageDescent:
+    # the descent reads each value and gradient off the Kraus images A_i x and
+    # the smaller Gram matrix; the d x d output states give the same paths
+    @pytest.mark.parametrize("make", [
+        lambda: random_unital_channel(5, 3, seed=1),  # k < d
+        lambda: dephasing_channel(4),  # k = d
+        lambda: depolarizing_channel(3, 0.4),  # k > d
+    ], ids=["k<d", "k=d", "k>d"])
+    @pytest.mark.parametrize("alpha", [1, 2, 5])
+    @pytest.mark.parametrize("max_iters", [400, 6])
+    def test_matches_output_states(self, make, alpha, max_iters):
+        ch = make()
+        z = np.random.default_rng(6).standard_normal((8, 2, ch.dim))
+        x0 = z[:, 0] + 1j * z[:, 1]
+        f, _, steps = _sphere_descent(ch, alpha, x0, max_iters)
+        f_ref, _, steps_ref = _dense_sphere_descent(ch, alpha, x0, max_iters)
+        assert np.max(np.abs(f - f_ref)) <= 1e-12
+        # a path that reaches a pure output (dephasing, alpha = 1) ends at the
+        # rounding floor, values near 1e-14 bits, where the Armijo and stall
+        # tests compare rounding errors: its last step may go either way
+        floor = f_ref < 1e-12
+        assert steps[~floor].tolist() == steps_ref[~floor].tolist()
+        assert np.all(np.abs(steps - steps_ref)[floor] <= 1)
+
+    def test_restarts_end_where_they_end_alone(self):
+        # at the rounding floor (dephasing, alpha = 1) the last step compares
+        # rounding errors, so a restart ends where it ends alone only when its
+        # arithmetic does not depend on the size of the batch
+        ch = dephasing_channel(4)
+        z = np.random.default_rng(6).standard_normal((8, 2, 4))
+        x0 = z[:, 0] + 1j * z[:, 1]
+        f, x, steps = _sphere_descent(ch, 1, x0)
+        for r in range(len(x0)):
+            f_r, x_r, steps_r = _sphere_descent(ch, 1, x0[r : r + 1])
+            assert f_r[0] == f[r] and steps_r[0] == steps[r]
+            assert np.array_equal(x_r[0], x[r])
+
+    def test_no_output_states(self, monkeypatch):
+        calls = count_calls(monkeypatch, KrausChannel, "apply")
+        adjoints = count_calls(monkeypatch, KrausChannel, "adjoint")
+        min_output_renyi(random_unital_channel(4, 3, seed=2), 1, restarts=4, seed=0)
+        assert len(calls) == 0 and len(adjoints) == 0
+
+    def test_memory_stays_order_kd(self):
+        # the (k, d, d) products of the output states took 66 MB here
+        ch = depolarizing_channel(16, 0.5)
+        tracemalloc.start()
+        try:
+            min_output_renyi(ch, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
 
 class TestExchangeMatrix:

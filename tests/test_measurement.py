@@ -227,6 +227,18 @@ class TestFactoredCommutator:
                 patch.setattr(measurement, "_PRODUCT_ENTRIES", entries * ch.dim)
                 assert abs(measurement._commutator_residual(ch, m.projectors) - whole) <= 1e-15
 
+    @pytest.mark.parametrize("case", [c for c in FACTORED if FACTORED[c][1] == "range"], ids=str)
+    def test_gather_blocks_keep_the_residual(self, monkeypatch, case):
+        # the range form gathers the Kraus images of a block of pairs at a
+        # time; each pair's row is a product of its own, so blocks of two
+        # pairs give the same residual bit for bit
+        ch, m = FACTORED[case][0]()
+        assert np.sum(measurement._ranges(np.stack(m.projectors))[0] ** 2) > 2
+        whole = measurement._commutator_residual(ch, m.projectors)
+        with monkeypatch.context() as patch:
+            patch.setattr(measurement, "_PRODUCT_ENTRIES", 2 * ch.dim * ch.n_kraus)
+            assert measurement._commutator_residual(ch, m.projectors) == whole
+
     def test_one_commutator_per_measurement(self, monkeypatch):
         # each range is decided by the channel fixing its projector, not by a
         # superoperator commutator of its own
