@@ -4,7 +4,8 @@ A POVM element's statistics survive the channel for every input state exactly
 when the adjoint channel fixes the element, which in turn happens exactly when
 the element is a nonnegative combination of invariant-block projectors: for a
 projective measurement, when the channel fixes every projector (d x d work),
-which implies that the measurement channel commutes with it. The commutator
+which implies that the measurement channel commutes with it. One ``eigh`` of the
+stacked elements and one adjoint channel serve every element. The commutator
 ``[sum_k L_{P_k}, L_phi]``, ``L_P = conj(P) kron P``, is ``F^T G`` for two
 ``n x d^2`` factors, n = 2 sum_k rank(P_k)^2 from the ranges or n = 2 k K from
 ``{P_k A_i}`` and ``{A_i P_k}``, whichever is smaller: O(n d^4) time and at
@@ -144,12 +145,6 @@ def _measurement_commutes(
     return CommutationReport(commute=residual <= tol.residual, residual=residual)
 
 
-def _ranges_invariant(ch: KrausChannel, bases, tol: Tolerances) -> bool:
-    """Whether the channel fixes each range's projector, up to the first that it does not."""
-    return all(is_invariant_subspace(ch, Subspace(ch.dim, v), tol).invariant
-               for v in bases if v.size)  # the range {0} of a zero projector is invariant
-
-
 _PRODUCT_ENTRIES = 2**20  # entries of a gather or of the commutator held at once: 16 MB
 
 
@@ -166,9 +161,8 @@ def _kron_columns(ops: np.ndarray, v: np.ndarray, ia: np.ndarray, ib: np.ndarray
     return out
 
 
-def _ranges(p: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Ranks of stacked checked projectors (eigenvalues that round to 1) and range bases."""
-    w, v = np.linalg.eigh(p)
+def _ranges(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Ranks (eigenvalues that round to 1) and range bases of projectors, from their eigenpairs."""
     ranks = np.count_nonzero(np.rint(w) == 1, axis=1)
     return ranks, [vk[:, len(vk) - r :] for vk, r in zip(v, ranks)]
 
@@ -184,7 +178,7 @@ def _commutator_residual(ch: KrausChannel, projectors, ranges=None) -> float:
     which permutes its entries and so keeps the max. The form with fewer terms wins.
     """
     d, a, p = ch.dim, ch.kraus, np.stack(projectors)
-    ranks, bases = ranges or _ranges(p)
+    ranks, bases = ranges or _ranges(*np.linalg.eigh(p))
     if np.sum(ranks**2) < len(p) * ch.n_kraus:
         v = np.hstack(bases)
         block = np.repeat(np.arange(len(ranks)), ranks)
@@ -265,15 +259,13 @@ class ElementReport:
     structure: StructuralDecomposition | StructuralFailure
 
 
-def _element_report(ch: KrausChannel, e, tol: Tolerances, projective=False) -> ElementReport:
-    """Decide the preservation of an element E already checked Hermitian, and give
-    its Hermitian part's eigenspaces, descending: eigenvalues grouped at
-    ``tol.eigencluster``, or for a checked projector rounded to 0 and 1, so that
-    its eigenspaces are its range and its kernel (:func:`_ranges`)."""
-    m = (e + e.conj().T) / 2  # Hermitian to the bit
-    residual = max_abs(ch.adjoint().apply(m) - m)
+def _element_report(ch: KrausChannel, adjoint, m, w, v, tol: Tolerances, projective=False):
+    """Decide the preservation of an element M, Hermitian to the bit, by ``adjoint``
+    fixing it, and scan its eigenspaces (eigenpairs w, v) descending: eigenvalues grouped
+    at ``tol.eigencluster``, or for a projector rounded to 0 and 1 (range, then kernel).
+    Also returns whether the first eigenspace, a nonzero projector's range, is invariant."""
+    residual = max_abs(adjoint.apply(m) - m)
     preserved = residual <= tol.residual
-    w, v = np.linalg.eigh(m)
     clusters = cluster_eigenvalues(np.rint(w) if projective else w, tol.eigencluster)
 
     terms = []
@@ -285,14 +277,14 @@ def _element_report(ch: KrausChannel, e, tol: Tolerances, projective=False) -> E
                     "element is preserved but one of its eigenspaces failed the "
                     "invariance check; eigencluster tolerance is inconsistent"
                 )
-            return ElementReport(preserved, residual, StructuralFailure(witness_subspace=sub))
+            return ElementReport(preserved, residual, StructuralFailure(sub)), bool(terms)
         terms.append(StructuralTerm(weight=max(float(np.mean(w[idx])), 0.0), subspace=sub))
     if not preserved:
         raise ToleranceFailure(
             "element is not preserved yet every eigenspace passed the invariance "
             "check; tolerances are inconsistent"
         )
-    return ElementReport(preserved, residual, StructuralDecomposition(terms=tuple(terms)))
+    return ElementReport(preserved, residual, StructuralDecomposition(terms=tuple(terms))), True
 
 
 def povm_structural_decomposition(ch: KrausChannel, e, tol: Tolerances = DEFAULT_TOL):
@@ -303,7 +295,8 @@ def povm_structural_decomposition(ch: KrausChannel, e, tol: Tolerances = DEFAULT
     element the first non-invariant eigenspace (scanning eigenvalues in
     descending order) is returned as a witness.
     """
-    return _element_report(ch, _psd_operator(ch, e, tol), tol).structure
+    m = _psd_operator(ch, e, tol)  # (E + E^dagger) / 2, Hermitian to the bit
+    return _element_report(ch, ch.adjoint(), m, *np.linalg.eigh(m), tol)[0].structure
 
 
 def violation_witness(ch: KrausChannel, e, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -335,26 +328,32 @@ class MeasurementReport:
 def measurement_preserved(
     ch: KrausChannel, m: Povm | ProjectiveMeasurement, tol: Tolerances = DEFAULT_TOL
 ) -> MeasurementReport:
-    """Aggregate the per-element checks over a measurement.
+    """Aggregate the per-element checks over a measurement, in one pass.
 
     For projective measurements, three criteria are evaluated: all elements
-    preserved, the channel fixing the projector onto each range (up to the first
-    that it does not) and the measurement channel commuting with it. The first two
-    are equivalent and imply the third; a violation raises ToleranceFailure. The
-    third alone is possible (depolarizing commutes with every unital channel).
+    preserved, the channel fixing each range's projector (the first eigenspace of
+    its element's scan; a zero projector's range {0} passes) and the measurement
+    channel commuting with it. The first two are equivalent and imply the third; a
+    violation raises ToleranceFailure. The third alone is possible (depolarizing
+    commutes with every unital channel).
     """
     if m.dim != ch.dim:
         raise DimensionMismatch(f"measurement dim {m.dim} != channel dim {ch.dim}")
     projective = isinstance(m, ProjectiveMeasurement)
-    reports = tuple(_element_report(ch, e, tol, projective)
-                    for e in (m.projectors if projective else m.elements))
+    h = np.stack(m.projectors if projective else m.elements)
+    h += h.conj().transpose(0, 2, 1)  # (E + E^dagger) / 2 in place, Hermitian to the bit
+    h /= 2
+    w, v = np.linalg.eigh(h)
+    adj = ch.adjoint()
+    reports, firsts = zip(*(_element_report(ch, adj, *x, tol, projective) for x in zip(h, w, v)))
+    del h, adj  # not held through the commutator's products
     all_preserved = all(r.preserved for r in reports)
 
     commute = ranges_invariant = None
     if projective:
-        ranges = _ranges(np.stack(m.projectors))
+        ranges = _ranges(w, v)
         commute = _measurement_commutes(ch, m, tol, ranges)
-        ranges_invariant = _ranges_invariant(ch, ranges[1], tol)
+        ranges_invariant = all(first or not r for first, r in zip(firsts, ranges[0]))
         if all_preserved != ranges_invariant:
             raise ToleranceFailure(
                 "per-element preservation and projector-range invariance "

@@ -1032,7 +1032,7 @@ class TestInconsistentTolerances:
         cpath = write(tmp_path, "ch.json", dumps_report(channel_to_document(make(2))))
         m = measurement_to_document(computational_measurement(2))
         mpath = write(tmp_path, "m.json", dumps_report(m))
-        monkeypatch.setattr(measurement, name, replacement)
+        monkeypatch.setattr(measurement, name, replacement())
         code, out, err = run(["check-measurement", cpath, mpath])
         assert code == 3
         error = strict_json(out)["error"]

@@ -1,3 +1,6 @@
+import itertools
+import sys
+
 import numpy as np
 import pytest
 
@@ -25,7 +28,7 @@ from krausblocks import (
     unitary_channel,
     violation_witness,
 )
-from krausblocks import measurement
+from krausblocks import decomposition, measurement
 from krausblocks.decomposition import InvarianceReport
 from krausblocks.errors import (
     InvalidMeasurement,
@@ -233,7 +236,7 @@ class TestFactoredCommutator:
         # time; each pair's row is a product of its own, so blocks of two
         # pairs give the same residual bit for bit
         ch, m = FACTORED[case][0]()
-        assert np.sum(measurement._ranges(np.stack(m.projectors))[0] ** 2) > 2
+        assert np.sum(measurement._ranges(*np.linalg.eigh(np.stack(m.projectors)))[0] ** 2) > 2
         whole = measurement._commutator_residual(ch, m.projectors)
         with monkeypatch.context() as patch:
             patch.setattr(measurement, "_PRODUCT_ENTRIES", 2 * ch.dim * ch.n_kraus)
@@ -526,7 +529,7 @@ class TestMeasurementPreserved:
                 assert rep.commute.commute
 
     @pytest.mark.parametrize("projective", [True, False], ids=["projective", "povm"])
-    def test_one_adjoint_per_element(self, monkeypatch, projective):
+    def test_one_adjoint_per_measurement(self, monkeypatch, projective):
         ch, _, projectors = rotated_direct_sum((2, 3), seed=21)
         if projective:
             m = ProjectiveMeasurement(5, tuple(projectors))
@@ -534,17 +537,9 @@ class TestMeasurementPreserved:
             m = Povm(5, (0.5 * projectors[0] + 0.1 * projectors[1],
                          0.5 * projectors[0] + 0.9 * projectors[1],
                          0.0 * projectors[0]))
-        calls = []
-        real = KrausChannel.adjoint
-
-        def counting(self):
-            calls.append(1)
-            return real(self)
-
-        monkeypatch.setattr(KrausChannel, "adjoint", counting)
+        calls = count_calls(monkeypatch, KrausChannel, "adjoint")
         rep = measurement_preserved(ch, m)
-        assert rep.all_preserved
-        assert len(calls) == len(rep.elements)
+        assert rep.all_preserved and len(calls) == 1
 
     def test_projectors_checked_once(self, monkeypatch):
         # ProjectiveMeasurement checked its projectors; the range-invariance
@@ -577,13 +572,96 @@ class TestMeasurementPreserved:
                 assert is_invariant_subspace(ch, t.subspace).invariant
 
 
+def _eigh_calls(monkeypatch) -> list:
+    """Patch ``np.linalg.eigh``; the returned list gains one entry per call made
+    from ``measurement``."""
+    calls, real = [], np.linalg.eigh
+
+    def counting(*args, **kwargs):
+        if sys._getframe(1).f_globals["__name__"] == measurement.__name__:
+            calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return calls
+
+
+def _ranges_invariant_reference(ch, m: ProjectiveMeasurement) -> bool:
+    """The former cross-check, kept as a reference: the channel fixes the projector
+    onto each range, the top-rank(P) eigenvectors of the projector's own ``eigh``;
+    a zero projector's range {0} is invariant."""
+    ranges = []
+    for p in m.projectors:
+        w, v = np.linalg.eigh(p)
+        rank = np.count_nonzero(np.rint(w) == 1)
+        if rank:
+            ranges.append(Subspace(ch.dim, v[:, ch.dim - rank :]))
+    return all(is_invariant_subspace(ch, r).invariant for r in ranges)
+
+
+class TestOnePass:
+    """One stacked ``eigh``, one adjoint and one scan per element decide a measurement."""
+
+    @pytest.mark.parametrize("d", [8, 64])
+    def test_computational_basis_on_dephasing(self, monkeypatch, d):
+        # each rank-1 projector's scan checks its range and its kernel, and the
+        # range is checked once, not again for ranges_invariant
+        ch, m = dephasing_channel(d), computational_measurement(d)
+        adjoints = count_calls(monkeypatch, KrausChannel, "adjoint")
+        checks = count_calls(monkeypatch, decomposition, "is_invariant_subspace")
+        eighs = _eigh_calls(monkeypatch)
+        rep = measurement_preserved(ch, m)
+        assert rep.all_preserved and rep.ranges_invariant
+        assert (len(adjoints), len(checks), len(eighs)) == (1, 2 * d, 1)
+
+    def test_block_projectors(self, monkeypatch):
+        ch, _, projectors = rotated_direct_sum((2, 3, 4), seed=23)
+        m = ProjectiveMeasurement(9, tuple(projectors))
+        adjoints = count_calls(monkeypatch, KrausChannel, "adjoint")
+        checks = count_calls(monkeypatch, decomposition, "is_invariant_subspace")
+        eighs = _eigh_calls(monkeypatch)
+        rep = measurement_preserved(ch, m)
+        assert rep.all_preserved and rep.ranges_invariant
+        assert [len(e.structure.terms) for e in rep.elements] == [2, 2, 2]
+        assert (len(adjoints), len(checks), len(eighs)) == (1, 2 * len(projectors), 1)
+
+    def test_ranges_invariant_matches_reference(self):
+        cases = [make() for make, _ in FACTORED.values()]
+        cases.append((dephasing_channel(4), ProjectiveMeasurement(
+            4, computational_measurement(4).projectors + (np.zeros((4, 4), complex),))))
+        for dims in COUPLED_RANGES:
+            for seed in range(len(COUPLED_RANGES[dims])):
+                for eps in np.logspace(-12, -7, 21):
+                    ch = coupled_blocks(eps, seed, dims)
+                    cases += [(ch, _blocks(dims)), (ch, computational_measurement(ch.dim))]
+        compared = 0
+        for ch, m in cases:
+            try:
+                report = measurement_preserved(ch, m)
+            except ToleranceFailure:  # no report to compare: 21 of the 756 coupled cases
+                continue
+            assert report.ranges_invariant == _ranges_invariant_reference(ch, m)
+            compared += 1
+        assert compared > 0.95 * len(cases)
+
+
 def _report(cls, flag: bool):
-    """A replacement criterion that returns ``cls(flag, residual)`` whatever it is given."""
-    return lambda *args, **kwargs: cls(flag, 0.0 if flag else 1.0)
+    """A factory of a replacement criterion that returns ``cls(flag, residual)``
+    whatever it is given."""
+    return lambda: lambda *args, **kwargs: cls(flag, 0.0 if flag else 1.0)
 
 
-# criteria that disagree with the others: (channel, patched name, replacement,
-# message); each must end in ToleranceFailure, never in an inconsistent report
+def _range_passes_kernel_fails():
+    """An ``is_invariant_subspace`` that passes every other call, the first
+    included: the scan of a rank-1 projector at d = 2 checks its range, then its
+    kernel, so every range passes and every kernel fails."""
+    calls = itertools.count()
+    return lambda *args, **kwargs: InvarianceReport(next(calls) % 2 == 0, 0.0)
+
+
+# criteria that disagree with the others: (channel, patched name, a factory of a
+# fresh replacement, message); each must end in ToleranceFailure, never in an
+# inconsistent report
 INCONSISTENT = {
     "preserved element, eigenspace not invariant": (
         dephasing_channel, "is_invariant_subspace", _report(InvarianceReport, False),
@@ -593,7 +671,8 @@ INCONSISTENT = {
         _report(InvarianceReport, True),
         "element is not preserved yet every eigenspace passed the invariance check"),
     "preservation and range invariance disagree": (
-        dephasing_channel, "_ranges_invariant", lambda *args: False,
+        lambda d: depolarizing_channel(d, 0.5), "is_invariant_subspace",
+        _range_passes_kernel_fails,
         "per-element preservation and projector-range invariance disagree"),
     "invariant ranges, channels do not commute": (
         dephasing_channel, "_measurement_commutes", _report(CommutationReport, False),
@@ -605,6 +684,6 @@ class TestInconsistentTolerances:
     @pytest.mark.parametrize("case", INCONSISTENT, ids=str)
     def test_tolerance_failure(self, monkeypatch, case):
         make, name, replacement, message = INCONSISTENT[case]
-        monkeypatch.setattr(measurement, name, replacement)
+        monkeypatch.setattr(measurement, name, replacement())
         with pytest.raises(ToleranceFailure, match=message):
             measurement_preserved(make(2), computational_measurement(2))
