@@ -215,16 +215,16 @@ def _sphere_descent(
             ok = fn < f[i] - 1e-4 * eta[i] * gn[s] * gn[s]
             a, r = i[ok], i[~ok]
             x[a], y[a], w[a], v[a], f[a] = xn[ok], yn[ok], wn[ok], vn[ok], fn[ok]
-            eta[a] = np.minimum(eta[a] * 1.5, 1.0)
+            eta[a] = np.minimum(eta[a] * 1.1, 1.0)
             eta[r] *= 0.5
             moved[s[ok]] = True
             search[s] = ~ok & (eta[i] > 1e-14)
         active[live[~moved]] = False
         live, f_prev = live[moved], f_prev[moved]
         steps[live] += 1
-        # linear local convergence: a couple of sub-1e-10 steps means the
-        # remaining tail is far below the optimizer tolerance
-        stall[live] = np.where(f_prev - f[live] < 1e-10, stall[live] + 1, 0)
+        # linear local convergence: two accepted decreases in a row below 1e-7
+        # stop a restart; resuming from there gains less than 1e-6
+        stall[live] = np.where(f_prev - f[live] < 1e-7, stall[live] + 1, 0)
         active[live[stall[live] >= 2]] = False
     return f, x, steps
 
@@ -262,35 +262,37 @@ def min_output_renyi(
 # ---------------------------------------------------------------------------
 
 
-def _eigh_log(m: np.ndarray, log=np.log2) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and matrix logarithm (eigenvalues floored) of Hermitian
-    PSD matrices, one per leading index."""
-    w, v = np.linalg.eigh(m)
-    return w, (v * log(np.clip(w, _EIG_FLOOR, None))[..., None, :]) @ _dag(v)
+def _eig_log(w: np.ndarray, v: np.ndarray, log=np.log2) -> np.ndarray:
+    """Matrix logarithm (eigenvalues floored) of Hermitian PSD matrices from their
+    eigenpairs, one per leading index."""
+    return (v * log(np.clip(w, _EIG_FLOOR, None))[..., None, :]) @ _dag(v)
 
 
-def _ascent_parts(ch: KrausChannel, rho: np.ndarray, include_input_entropy: bool):
+def _ascent_parts(ch: KrausChannel, rho: np.ndarray, include_input_entropy: bool, eig_in):
     """Objective values and gradients (bits) of a state or a stack of states,
-    dropping additive multiples of I."""
-    w_out, log_out = _eigh_log(_herm(ch.apply(rho)))
-    w_ex, log_ex = _eigh_log(exchange_matrix(ch, rho))
+    dropping additive multiples of I; the input entropy comes from ``eig_in``,
+    the eigenpairs of ``rho``."""
+    w_out, v_out = np.linalg.eigh(_herm(ch.apply(rho)))
+    w_ex, v_ex = np.linalg.eigh(exchange_matrix(ch, rho))
     value = _entropy_bits(w_out) - _entropy_bits(w_ex)
     # sum_j A_j^dagger (sum_i log W_ji A_i)
     a = ch.kraus
-    lam = np.sum(_dag(a) @ np.tensordot(log_ex, a, axes=(-1, 0)), axis=-3)
-    grad = -ch.adjoint().apply(log_out) + _herm(lam)
+    lam = np.sum(_dag(a) @ np.tensordot(_eig_log(w_ex, v_ex), a, axes=(-1, 0)), axis=-3)
+    grad = -ch.adjoint().apply(_eig_log(w_out, v_out)) + _herm(lam)
     if include_input_entropy:
-        w_in, log_in = _eigh_log(rho)
+        w_in, v_in = eig_in
         value = value + _entropy_bits(w_in)
-        grad = grad - log_in
+        grad = grad - _eig_log(w_in, v_in)
     return value, _herm(grad)
 
 
-def _mirror_step(log_rho: np.ndarray, grad_bits: np.ndarray, eta: np.ndarray) -> np.ndarray:
+def _mirror_step(log_rho: np.ndarray, grad_bits: np.ndarray, eta: np.ndarray):
+    """The states ``exp(log rho + eta ln2 grad)``, normalized, and their eigenpairs."""
     m = _herm(log_rho + (eta * _LN2)[:, None, None] * grad_bits)
     w, v = np.linalg.eigh(m)
     e = np.exp(w - w.max(axis=-1, keepdims=True))
-    return (v * (e / np.sum(e, axis=-1, keepdims=True))[:, None, :]) @ _dag(v)
+    p = e / np.sum(e, axis=-1, keepdims=True)
+    return (v * p[:, None, :]) @ _dag(v), p, v
 
 
 def _state_ascent(
@@ -304,11 +306,14 @@ def _state_ascent(
 
     All starts advance together, one batched evaluation per step, but each
     restarts its own line search at step 1, stops on its own duality-gap
-    certificate and leaves the batch when it stops. Returns each start's
-    final value, state, last duality gap and number of accepted steps.
+    certificate and leaves the batch when it stops. Only the starts are
+    diagonalized: each later state keeps the eigenpairs its mirror step built
+    it from, for its log and its input entropy. Returns each start's final
+    value, state, last duality gap and number of accepted steps.
     """
     rho = _herm(np.asarray(rho0, dtype=complex))
-    value, grad = _ascent_parts(ch, rho, include_input_entropy)
+    p, v = np.linalg.eigh(rho)
+    value, grad = _ascent_parts(ch, rho, include_input_entropy, (p, v))
     n = len(rho)
     gap = np.full(n, np.inf)
     steps = np.zeros(n, dtype=int)
@@ -323,18 +328,18 @@ def _state_ascent(
         done = gap[live] <= gap_tol
         active[live[done]] = False
         live = live[~done]
-        log_rho = _eigh_log(rho[live], np.log)[1]
+        log_rho = _eig_log(p[live], v[live], np.log)
         eta = np.ones(live.size)
         accepted = np.zeros(live.size, dtype=bool)
         search = np.ones(live.size, dtype=bool)
         while search.any():
             s = np.flatnonzero(search)
             i = live[s]
-            cand = _mirror_step(log_rho[s], grad[i], eta[s])
-            v_c, g_c = _ascent_parts(ch, cand, include_input_entropy)
-            ok = v_c > value[i] + 1e-15
+            cand, p_c, v_c = _mirror_step(log_rho[s], grad[i], eta[s])
+            f_c, g_c = _ascent_parts(ch, cand, include_input_entropy, (p_c, v_c))
+            ok = f_c > value[i] + 1e-15
             a = i[ok]
-            rho[a], value[a], grad[a] = cand[ok], v_c[ok], g_c[ok]
+            rho[a], p[a], v[a], value[a], grad[a] = cand[ok], p_c[ok], v_c[ok], f_c[ok], g_c[ok]
             eta[s[~ok]] *= 0.5
             accepted[s[ok]] = True
             search[s] = ~ok & (eta[s] > 1e-8)

@@ -28,6 +28,9 @@ from .linalg import (
 )
 
 
+_PRODUCT_ENTRIES = 2**20  # entries of one chunk of a stacked product held at once: 16 MB
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     """Trace-preservation and unitality residuals of a Kraus operator set."""
@@ -43,13 +46,20 @@ def validate_kraus(ops, tol: Tolerances = DEFAULT_TOL) -> ValidationReport:
 
     ``tp_residual`` is ``max |sum A_i^dagger A_i - I|`` and ``unital_residual``
     is ``max |sum A_i A_i^dagger - I|``; the flags compare them against
-    ``tol.residual``.
+    ``tol.residual``. Both sums are GEMMs of the vertical stack ``[A_1; ...; A_k]``
+    and the horizontal stack ``[A_1 ... A_k]``, a chunk of operators at a time.
     """
     a = operator_stack(ops)
-    a_dag = a.conj().transpose(0, 2, 1)
-    eye = np.eye(a.shape[1])
-    tp_res = max_abs(np.sum(a_dag @ a, axis=0) - eye)
-    un_res = max_abs(np.sum(a @ a_dag, axis=0) - eye)
+    d = a.shape[1]
+    tp, un = np.zeros((2, d, d), dtype=complex)
+    step = max(1, _PRODUCT_ENTRIES // (d * d))
+    for s in range(0, len(a), step):
+        vertical = a[s : s + step].reshape(-1, d)
+        horizontal = a[s : s + step].transpose(1, 0, 2).reshape(d, -1)
+        tp += vertical.conj().T @ vertical
+        un += horizontal @ horizontal.conj().T
+    tp_res = max_abs(tp - np.eye(d))
+    un_res = max_abs(un - np.eye(d))
     return ValidationReport(
         is_trace_preserving=tp_res <= tol.residual,
         is_unital=un_res <= tol.residual,
@@ -218,6 +228,7 @@ def depolarizing_channel(dim: int, p: float) -> KrausChannel:
     ops = _weyl(dim, dim)
     ops[0] *= np.sqrt(1 - p + p / dim**2)
     ops[1:] *= np.sqrt(p / dim**2)
+    ops.setflags(write=False)  # the channel keeps this stack uncopied
     return KrausChannel.from_kraus(ops)
 
 

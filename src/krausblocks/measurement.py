@@ -19,7 +19,7 @@ from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .channel import KrausChannel
+from .channel import _PRODUCT_ENTRIES, KrausChannel
 from .decomposition import Subspace, is_invariant_subspace
 from .errors import (
     DimensionMismatch,
@@ -143,9 +143,6 @@ def _measurement_commutes(
     """``channels_commute(projective_channel(m), ch)`` without its d^2 x d^2 products."""
     residual = _commutator_residual(ch, m.projectors, ranges)
     return CommutationReport(commute=residual <= tol.residual, residual=residual)
-
-
-_PRODUCT_ENTRIES = 2**20  # entries of a gather or of the commutator held at once: 16 MB
 
 
 def _kron_columns(ops: np.ndarray, v: np.ndarray, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:

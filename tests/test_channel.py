@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from krausblocks import (
     unitary_channel,
     validate_kraus,
 )
+from krausblocks import channel
 from krausblocks.errors import (
     DimensionMismatch,
     InvalidParameter,
@@ -66,6 +69,29 @@ class TestValidate:
     def test_ragged_input(self):
         with pytest.raises(DimensionMismatch):
             validate_kraus([np.eye(2), np.eye(3)])
+
+    def test_chunked_sums_match_per_operator_loops(self, monkeypatch):
+        # chunks of two operators over five, the last chunk short
+        rng = np.random.default_rng(3)
+        ops = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))
+        eye = np.eye(3)
+        tp = max_abs(sum(a.conj().T @ a for a in ops) - eye)
+        un = max_abs(sum(a @ a.conj().T for a in ops) - eye)
+        monkeypatch.setattr(channel, "_PRODUCT_ENTRIES", 2 * 3 * 3)
+        r = validate_kraus(ops)
+        assert abs(r.tp_residual - tp) <= 1e-12 * tp and abs(r.unital_residual - un) <= 1e-12 * un
+        assert r.tp_residual != r.unital_residual  # a swapped pair of sums would show
+
+    def test_memory_stays_near_the_stack(self):
+        # the adjoint stack and the k products took three times the stack here;
+        # chunked sums and the generator's read-only stack leave about 1.4 times
+        tracemalloc.start()
+        try:
+            ch = depolarizing_channel(48, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * ch.kraus.nbytes
 
 
 class TestApply:
