@@ -11,8 +11,9 @@ simple spectrum of H on the block. The blocks therefore depend on the Kraus
 operators and the seed. Near-reducible inputs, where that split is
 ill-conditioned, are refined instead: subspace iteration with the
 symmetrized channel finds the operators that commute with every Kraus
-operator to within the null-space cut, and the space splits along the
-eigenspaces of a random one of them.
+operator to within the null-space cut, the space splits along the
+eigenspaces of a random one of them, and two blocks are copies of one
+Wedderburn component when one of those operators maps between them.
 """
 
 from __future__ import annotations
@@ -389,8 +390,9 @@ def _commutators(a: np.ndarray, x: np.ndarray):
     return r, g
 
 
-def _refined_split(a: np.ndarray, rng: np.random.Generator, tol: Tolerances, spun) -> list:
-    """Split a near-reducible space in ``d x d`` work: the block bases.
+def _refined_split(a: np.ndarray, rng: np.random.Generator, tol: Tolerances, spun):
+    """Split a near-reducible space in ``d x d`` work: the block bases and
+    the Wedderburn components as lists of indices into them.
 
     The operators commuting with every Kraus operator are the kernel of G
     (:func:`_commutators`), ``G = 2 (I - (phi + phi^dagger) / 2)`` for unital
@@ -405,7 +407,10 @@ def _refined_split(a: np.ndarray, rng: np.random.Generator, tol: Tolerances, spu
     unsquared singular value is at most the null-space cut of the stacked
     commutators, ``tol.nullspace * sqrt(lambda_max)`` with ``lambda_max`` at
     its bound ``4 scale^2``; the space splits along the eigenspaces of a
-    random kept element, or is one block if none is kept.
+    random kept element, or is one block if none is kept. Blocks B_j and B_l
+    are copies of one component when some kept direction X has an entry of
+    ``B_j^dagger X B_l`` above ``tol.nullspace``, the cut that kept X, so the
+    one kernel decides the count, the split and the copies.
     """
     d = a.shape[1]
     scale = float(np.sqrt(np.vdot(a, a).real / d))
@@ -415,7 +420,7 @@ def _refined_split(a: np.ndarray, rng: np.random.Generator, tol: Tolerances, spu
         spun = list(spun) + (loose[0] if loose else [])
     y = _orthonormal(np.stack([z[0] + 1j * z[1]] + [b @ b.conj().T for b in spun]), tol)
     if not len(y):  # d = 1: nothing is traceless
-        return [np.eye(d, dtype=complex)]
+        return [np.eye(d, dtype=complex)], [[0]]
     m, x, moved = max(len(y) - 1, 1), y, np.inf
     for _ in range(_MAX_SWEEPS):
         r, g = _commutators(a, y)
@@ -428,28 +433,20 @@ def _refined_split(a: np.ndarray, rng: np.random.Generator, tol: Tolerances, spu
         x, y = y, _orthonormal(y - g / 4, tol)
     kept = y[sigma[::-1] <= 2.0 * tol.nullspace * scale]
     if not len(kept):
-        return [np.eye(d, dtype=complex)]
+        return [np.eye(d, dtype=complex)], [[0]]
     element = np.tensordot(rng.standard_normal(len(kept)), kept, axes=1)
     w, v = hermitian_eig(element / max_abs(element), tol)
-    return [v[:, idx] for idx in cluster_eigenvalues(w, tol.eigencluster)]
-
-
-def _components(bases, h: np.ndarray, tol: Tolerances) -> list[list[int]]:
-    """The blocks grouped into Wedderburn components, as lists of block
-    indices: the copies of one irreducible representation share the spectrum
-    of their compression of ``H = sum_c H_c kron I_(m_c)``
-    (:func:`_algebra_element`), which a random H separates between
-    components, here beyond ``tol.eigencluster``."""
-    spectra = [np.linalg.eigvalsh(b.conj().T @ h @ b) for b in bases]
-    groups: list[list[int]] = []
-    for j, w in enumerate(spectra):
-        for g in groups:
-            if len(spectra[g[0]]) == len(w) and max_abs(spectra[g[0]] - w) <= tol.eigencluster:
-                g.append(j)
+    bases = [v[:, idx] for idx in cluster_eigenvalues(w, tol.eigencluster)]
+    components: list[list[int]] = []
+    for j, b in enumerate(bases):
+        left = b.conj().T @ kept  # B_j^dagger X for every kept X
+        for c in components:
+            if max_abs(left @ bases[c[0]]) > tol.nullspace:
+                c.append(j)
                 break
         else:
-            groups.append([j])
-    return groups
+            components.append([j])
+    return bases, components
 
 
 def _certified_blocks(ch: KrausChannel, bases, tol: Tolerances):
@@ -481,9 +478,10 @@ def iris_decompose(
     path (:func:`_refined_split`) decides instead when the spin-up is near
     its cutoffs (an accepted closure singular value below 100 rank cuts,
     copies that do not add up, or ``_MAX_DRAWS`` draws that each repeat an
-    eigenvalue on a block) or a spun block fails the checks below, and groups
-    the Wedderburn components (:func:`_components`), which on the spin path
-    are the copies spun from one eigenspace. ``split`` records the path.
+    eigenvalue on a block) or a spun block fails the checks below. Each path
+    groups the blocks into Wedderburn components: on the spin path the copies
+    spun from one eigenspace, on the refined path the blocks that a kept
+    commutant direction intertwines. ``split`` records the path.
 
     Every Kraus operator is simultaneously block-diagonal with respect to the
     returned blocks (checked in the ambient space), each block is
@@ -503,9 +501,9 @@ def iris_decompose(
     except ToleranceFailure:
         blocks = None  # a spun block leaks: the refined path decides
     if blocks is None:
-        blocks, _ = _certified_blocks(ch, _refined_split(ch.kraus, rng, tol, bases), tol)
-        rank, decision = range(len(blocks)), SplitDecision("refined")  # blocks sorted already
-        components = _components([s.basis for s in blocks], _algebra_element(ch.kraus, rng), tol)
+        bases, components = _refined_split(ch.kraus, rng, tol, bases)
+        blocks, rank = _certified_blocks(ch, bases, tol)
+        decision = SplitDecision("refined")
     return IrisDecomposition(
         ambient_dim=ch.dim,
         blocks=blocks,

@@ -7,8 +7,9 @@ is decided on the singular values of the commutators themselves, not on their
 squares. :func:`dense_decompose` splits along the eigenspaces of the
 commutant projection of a random Hermitian matrix, redrawn until the
 commutant compresses to the scalars on every eigenspace, certifies the
-blocks as ``iris_decompose`` does, and checks their Wedderburn components
-against the dense commutant's dimension.
+blocks as ``iris_decompose`` does, groups them into Wedderburn components
+by the entries the commutant basis has between them, and checks those
+components against the dense commutant's dimension.
 """
 
 from __future__ import annotations
@@ -21,9 +22,7 @@ from krausblocks import KrausChannel
 from krausblocks.decomposition import (
     IrisDecomposition,
     SplitDecision,
-    _algebra_element,
     _certified_blocks,
-    _components,
 )
 from krausblocks.errors import ToleranceFailure
 from krausblocks.linalg import (
@@ -219,6 +218,22 @@ def dense_split(commutant: "DenseCommutant", rng: np.random.Generator, tol: Tole
     )
 
 
+def dense_components(commutant: "DenseCommutant", bases, tol: Tolerances) -> list[list[int]]:
+    """The blocks grouped into Wedderburn components, as lists of indices:
+    blocks B_j and B_l are copies when some element H of the commutant basis
+    has an entry of ``B_j^dagger H B_l`` above ``tol.nullspace``."""
+    components: list[list[int]] = []
+    for j, b in enumerate(bases):
+        left = b.conj().T @ commutant.hermitian_basis
+        for c in components:
+            if max_abs(left @ bases[c[0]]) > tol.nullspace:
+                c.append(j)
+                break
+        else:
+            components.append([j])
+    return components
+
+
 def dense_decompose(
     ch: KrausChannel,
     tol: Tolerances = DEFAULT_TOL,
@@ -228,13 +243,13 @@ def dense_decompose(
     """The irreducible blocks split along the given (else solved) commutant
     (:func:`dense_split`) and certified as ``iris_decompose`` certifies them;
     ``split.method`` is ``"dense"``. The blocks are grouped into Wedderburn
-    components by :func:`_components`, and ``sum_c m_c^2`` must equal the
-    dimension of the commutant solved here (AssertionError otherwise), so a
-    count compared against the oracle's is compared against the dense solve."""
+    components by the dense commutant basis (:func:`dense_components`), and
+    ``sum_c m_c^2`` must equal the dimension of that commutant
+    (AssertionError otherwise), so a count compared against the oracle's is
+    compared against the dense solve."""
     commutant = commutant or dense_commutant(ch, tol)
-    rng = seeded_rng(seed)
-    blocks, _ = _certified_blocks(ch, dense_split(commutant, rng, tol), tol)
-    components = _components([s.basis for s in blocks], _algebra_element(ch.kraus, rng), tol)
+    blocks, _ = _certified_blocks(ch, dense_split(commutant, seeded_rng(seed), tol), tol)
+    components = dense_components(commutant, [s.basis for s in blocks], tol)
     count = sum(len(c) ** 2 for c in components)
     if count != commutant.count:
         raise AssertionError(

@@ -129,6 +129,25 @@ def coupled_blocks(
     return KrausChannel.from_kraus([g @ a for a in ch.kraus])
 
 
+def near_isomorphic_blocks(n: int, eps: float, seed: int = 0) -> KrausChannel:
+    """Two n-dimensional blocks that are almost, but not, copies of one
+    another: ``K_j = blockdiag(U_j, U_j exp(i eps H_j)) / sqrt(3)`` for three
+    Haar unitaries U_j and three random Hermitian H_j, conjugated by one Haar
+    unitary of size 2n. For eps != 0 and generic draws the commutant is, in
+    exact arithmetic, spanned by the two block projectors: ``sum_c m_c^2 = 2``."""
+    rng = np.random.default_rng(seed)
+    units = [haar_unitary(n, rng) for _ in range(3)]
+    hs = [random_hermitian(n, rng) for _ in range(3)]
+    w = haar_unitary(2 * n, rng)
+    ops = []
+    for u, h in zip(units, hs):
+        lam, v = np.linalg.eigh(h)
+        k = np.zeros((2 * n, 2 * n), dtype=complex)
+        k[:n, :n], k[n:, n:] = u, u @ (v * np.exp(1j * eps * lam)) @ v.conj().T
+        ops.append(w @ k @ w.conj().T / np.sqrt(3))
+    return KrausChannel.from_kraus(ops)
+
+
 def count_calls(monkeypatch, owner, name: str) -> list:
     """Patch ``owner.<name>``: a method when ``owner`` is a class, else a module
     function in every package module that imported it; the returned list
